@@ -65,10 +65,7 @@ from .perm import (
 )
 from .primes import (
     PrimeTable,
-    SieveCacheError,
     build_sieve,
-    load_cache,
-    save_cache,
     sum_recip,
     sum_recip_exact,
     sum_recip_sq,

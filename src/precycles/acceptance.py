@@ -318,6 +318,7 @@ def criterion_5() -> tuple[bool, str, float]:
     build_s = time.perf_counter() - t0
     t1 = time.perf_counter()
     sweep = bounds_mod.density_floor_sweep(table, 400_000, Fraction(1, 19))
+    floor_s = time.perf_counter() - t1
     expected = {}
     for n in range(5, 11):
         ps = [p for p in range(n // 2 + 1, n - 2) if _trial_prime(p)]
@@ -330,8 +331,10 @@ def criterion_5() -> tuple[bool, str, float]:
     _require(sweep.holds_from_11,
              "floor fails somewhere at n >= 11")
     third = Fraction(1, 3)
+    t2 = time.perf_counter()
     pis = [(n, exact.pre_prime_cycle_proportion(n, "sym"))
            for n in range(5, 51)]
+    table_s = time.perf_counter() - t2
     below = [n for n, v in pis if v <= third]
     sweep_s = time.perf_counter() - t1
     ok = build_s < 2.0 and sweep_s < 10.0
@@ -342,7 +345,8 @@ def criterion_5() -> tuple[bool, str, float]:
         f"exact proportions for n <= 50 dip to "
         f"{min(float(v) for _, v in pis):.4f}, with {len(below)} degrees "
         f"at or below 1/3: {below}; "
-        f"sieve {build_s:.2f}s, sweep {sweep_s:.2f}s"
+        f"sieve {build_s:.2f}s, floor sweep {floor_s:.2f}s, "
+        f"exact n <= 50 table {table_s:.2f}s"
     )
     if not ok:
         detail += " (TIME BUDGET EXCEEDED)"

@@ -547,16 +547,14 @@ def density_floor_sweep(
     table: PrimeTable,
     n_max: int,
     threshold: Fraction = Fraction(1, 19),
-    threads: int = 1,
 ) -> FloorSweep:
     """Sweep sum_{n/2 < p <= n-3} 1/p >= threshold for n in [5, n_max].
 
     Every permutation with a cycle of prime length p in (n/2, n-3]
     powers to a p-cycle, and for such large p the density of that event
     is exactly 1/p, so this sum is a certified floor for the
-    pre-p-cycle proportion.  Exceptions carry the exact rational sum.
-    ``threads`` is accepted for interface symmetry; the sweep is a
-    single vectorized pass and ignores it.
+    pre-p-cycle proportion.  Exceptions carry the exact rational sum;
+    ``escalations`` counts every exact sum computed.
     """
     if n_max < 5:
         raise ValueError(f"need n_max >= 5, got {n_max}")
@@ -566,13 +564,10 @@ def density_floor_sweep(
     vals = table.s1_prefix[ns - 3] - table.s1_prefix[ns // 2]
     thr = float(threshold)
     exceptions: list[FloorRecord] = []
-    escalations = 0
     suspect = np.flatnonzero(vals < thr + MARGIN)
     for i in suspect.tolist():
         n = int(ns[i])
         exact = sum_recip_exact(table, n // 2, n - 3)
-        if abs(float(vals[i]) - thr) <= MARGIN:
-            escalations += 1
         if exact < threshold:
             exceptions.append(FloorRecord(n=n, value=float(vals[i]), exact=exact))
     # Report the minimum over the asserted range n >= 11 (or the whole
@@ -586,7 +581,7 @@ def density_floor_sweep(
         exceptions=tuple(exceptions),
         min_value=float(vals[k]),
         argmin_n=int(ns[k]),
-        escalations=escalations,
+        escalations=len(suspect),
     )
 
 

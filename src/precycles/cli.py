@@ -20,10 +20,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from . import bounds as bounds_mod
 from . import exact, montecarlo, primes, recognize
 from .perm import format_cycles
 
-SIEVE_CACHE_ENV = "PRECYCLES_SIEVE_CACHE"
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
 
@@ -94,20 +91,6 @@ def _csv_cell(v):
     if isinstance(v, (list, tuple)):
         return " ".join(str(x) for x in v)
     return v
-
-
-def get_table(ns) -> primes.PrimeTable:
-    """Load or build the sieve, honoring the cache path flag/env var."""
-    limit = getattr(ns, "sieve_limit", DEFAULT_SIEVE_LIMIT)
-    path = getattr(ns, "sieve_cache", None) or os.environ.get(SIEVE_CACHE_ENV)
-    if path and Path(path).exists():
-        table = primes.load_cache(path)
-        if table.limit >= limit:
-            return table
-    table = primes.build_sieve(limit)
-    if path:
-        primes.save_cache(table, path)
-    return table
 
 
 def _parse_lengths(text: str) -> frozenset[int]:
@@ -221,7 +204,7 @@ def _sweep_lines(rep: bounds_mod.SweepReport) -> list[str]:
 
 
 def cmd_verify_primes(ns) -> int:
-    table = get_table(ns)
+    table = primes.build_sieve(ns.sieve_limit)
     rng = np.random.default_rng(ns.seed)
     reports = [
         bounds_mod.verify_pi_bounds_range(table, 11, table.limit),
@@ -264,8 +247,7 @@ def cmd_verify_primes(ns) -> int:
 
 
 def cmd_verify_r2(ns) -> int:
-    ns.sieve_limit = max(ns.sieve_limit, ns.max)
-    table = get_table(ns)
+    table = primes.build_sieve(max(ns.sieve_limit, ns.max))
     sweep = bounds_mod.density_floor_sweep(table, ns.max, ns.threshold)
     lines = [
         f"floor sweep 5..{ns.max} against {_frac_str(ns.threshold)}: "
@@ -436,7 +418,6 @@ def cmd_estimate(ns) -> int:
         trials=ns.trials,
         seed=ns.seed,
         level=float(ns.level),
-        threads=ns.threads,
     )
     payload = {"n": ns.n, "group": ns.group, "event": ns.event,
                **est.to_json_dict()}
@@ -525,20 +506,15 @@ def cmd_selftest(ns) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _add_common(sub, *, fmt=True, seed=False, threads=False, sieve=False):
+def _add_common(sub, *, fmt=True, seed=False, sieve=False):
     if fmt:
         sub.add_argument("--format", choices=("text", "json", "csv"),
                          default="text")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
-    if threads:
-        sub.add_argument("--threads", type=int, default=1)
     if sieve:
         sub.add_argument("--sieve-limit", type=int,
                          default=DEFAULT_SIEVE_LIMIT)
-        sub.add_argument("--sieve-cache", type=str, default=None,
-                         help=f"binary cache path (default from "
-                              f"${SIEVE_CACHE_ENV})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=rational,
                    default=Fraction(99, 100))
     p.add_argument("--compare-exact", action="store_true")
-    _add_common(p, seed=True, threads=True)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("recognize",

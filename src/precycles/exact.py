@@ -172,12 +172,11 @@ def _sweep_proportion(
     n: int,
     group: str,
     accept: Callable[[list[tuple[int, int]]], bool],
-    enumeration_bound: int = ENUMERATION_BOUND,
 ) -> Fraction:
     """Total class proportion of the accepted cycle types."""
     _check_group(group, n)
-    if n > enumeration_bound:
-        raise EnumerationCapacityError(n, enumeration_bound)
+    if n > ENUMERATION_BOUND:
+        raise EnumerationCapacityError(n, ENUMERATION_BOUND)
     nf = math.factorial(n)
     total = 0
     if group == "sym":
@@ -323,12 +322,7 @@ def _window_accept(
     return accept
 
 
-def window_proportion(
-    n: int,
-    window: PrimeWindow,
-    group: str = "sym",
-    enumeration_bound: int = ENUMERATION_BOUND,
-) -> Fraction:
+def window_proportion(n: int, window: PrimeWindow, group: str = "sym") -> Fraction:
     """Exact proportion of pre-p-cycles for some prime p in the window.
 
     A class qualifies when some window prime p has multiplicity exactly
@@ -338,9 +332,7 @@ def window_proportion(
     if not window.primes:
         _check_group(group, n)
         return Fraction(0)
-    return _sweep_proportion(
-        n, group, _window_accept(n, window.primes), enumeration_bound
-    )
+    return _sweep_proportion(n, group, _window_accept(n, window.primes))
 
 
 class WindowHitStats(NamedTuple):
@@ -357,10 +349,7 @@ def _check_window(n: int, window: PrimeWindow) -> None:
 
 
 def window_hit_proportions(
-    n: int,
-    window: PrimeWindow,
-    group: str = "sym",
-    enumeration_bound: int = ENUMERATION_BOUND,
+    n: int, window: PrimeWindow, group: str = "sym"
 ) -> WindowHitStats:
     """Proportions (hit, repeat) for a prime window.
 
@@ -372,8 +361,8 @@ def window_hit_proportions(
     """
     _check_group(group, n)
     _check_window(n, window)
-    if n > enumeration_bound:
-        raise EnumerationCapacityError(n, enumeration_bound)
+    if n > ENUMERATION_BOUND:
+        raise EnumerationCapacityError(n, ENUMERATION_BOUND)
     if not window.primes:
         return WindowHitStats(Fraction(0), Fraction(0))
     prime_set = set(window.primes)
@@ -411,16 +400,10 @@ def window_hit_proportions(
     )
 
 
-def pre_prime_cycle_proportion(
-    n: int,
-    group: str = "sym",
-    enumeration_bound: int = ENUMERATION_BOUND,
-) -> Fraction:
+def pre_prime_cycle_proportion(n: int, group: str = "sym") -> Fraction:
     """Exact proportion of pre-p-cycles over all primes 2 <= p <= n - 3."""
     _check_group(group, n)
-    return window_proportion(
-        n, prime_window(1, max(n - 3, 1)), group, enumeration_bound
-    )
+    return window_proportion(n, prime_window(1, max(n - 3, 1)), group)
 
 
 def cycle_proportion(n: int) -> Fraction:

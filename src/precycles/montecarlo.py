@@ -4,8 +4,7 @@ The estimators draw uniform elements of S_n or A_n, look only at the
 cycle type, and never build Permutation objects on the hot path.
 Trials are partitioned into fixed-size blocks; block i gets the
 generator seeded by ``SeedSequence(seed, spawn_key=(i,))``, so a result
-depends only on (seed, trials, block_size) and never on how many
-worker threads ran the blocks.
+depends only on (seed, trials, block_size).
 
 Events deliberately mirror the exact module: each has an exact
 counterpart below the enumeration bound (see
@@ -15,7 +14,6 @@ close the loop.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Union
@@ -200,12 +198,11 @@ def estimate_event(
     seed: int = 0,
     level: float = DEFAULT_LEVEL,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
 ) -> Estimate:
     """Estimate the probability of ``event`` for a uniform group element.
 
     The result is a deterministic function of (n, event, group, trials,
-    seed, block_size); ``threads`` only caps concurrency.
+    seed, block_size).
     """
     exact._check_group(group, n)
     if n < 1:
@@ -217,22 +214,10 @@ def estimate_event(
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     pred = event.predicate(n)
-    blocks = [
-        (i, min(block_size, trials - i * block_size))
-        for i in range((trials + block_size - 1) // block_size)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            successes = sum(
-                pool.map(
-                    lambda ic: _block_successes(n, group, pred, seed, ic[0], ic[1]),
-                    blocks,
-                )
-            )
-    else:
-        successes = sum(
-            _block_successes(n, group, pred, seed, i, c) for i, c in blocks
-        )
+    successes = sum(
+        _block_successes(n, group, pred, seed, i, min(block_size, trials - start))
+        for i, start in enumerate(range(0, trials, block_size))
+    )
     return Estimate(
         p_hat=successes / trials,
         half_width=wilson_half_width(successes, trials, level),

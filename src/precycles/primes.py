@@ -15,22 +15,14 @@ no check is ever certified on rounding noise.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
 
-CACHE_MAGIC = b"PPCT1"
-
 # Float comparisons closer to the boundary than this are escalated.
 MARGIN = 1e-9
-
-
-class SieveCacheError(ValueError):
-    """Raised when a sieve cache file fails validation on load."""
 
 
 @dataclass(frozen=True)
@@ -202,60 +194,3 @@ def verify_pi_bounds(table: PrimeTable, x: int) -> bool:
         mlo = x / mlog
         mhi = mlo * (1 + 3 / (2 * mlog))
         return bool(mlo <= pi_x <= mhi)
-
-
-def save_cache(table: PrimeTable, path: str | Path) -> None:
-    """Write the table in the binary cache format.
-
-    Layout: magic ``PPCT1``, limit as 8-byte little-endian, the
-    primality bitset (LSB-first within each byte), then the three prefix
-    arrays as 8-byte little-endian floats.
-    """
-    path = Path(path)
-    bits = np.packbits(table.is_prime, bitorder="little")
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<q", table.limit))
-        fh.write(bits.tobytes())
-        fh.write(table.pi_prefix.astype("<f8").tobytes())
-        fh.write(table.s1_prefix.astype("<f8").tobytes())
-        fh.write(table.s2_prefix.astype("<f8").tobytes())
-
-
-def load_cache(path: str | Path) -> PrimeTable:
-    """Load a cache written by :func:`save_cache`, revalidating pi(limit)."""
-    raw = Path(path).read_bytes()
-    if raw[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise SieveCacheError(f"{path}: bad magic, not a sieve cache")
-    off = len(CACHE_MAGIC)
-    (limit,) = struct.unpack_from("<q", raw, off)
-    off += 8
-    if limit < 2:
-        raise SieveCacheError(f"{path}: invalid limit {limit}")
-    n = limit + 1
-    nbytes = (n + 7) // 8
-    want = off + nbytes + 3 * 8 * n
-    if len(raw) != want:
-        raise SieveCacheError(f"{path}: expected {want} bytes, found {len(raw)}")
-    bits = np.frombuffer(raw, dtype=np.uint8, count=nbytes, offset=off)
-    sieve = np.unpackbits(bits, bitorder="little", count=n).astype(bool)
-    off += nbytes
-    arrays = []
-    for _ in range(3):
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy())
-        off += 8 * n
-    pi_prefix = arrays[0].astype(np.int64)
-    if not np.array_equal(pi_prefix.astype("<f8"), arrays[0]):
-        raise SieveCacheError(f"{path}: pi_prefix entries are not integers")
-    if int(sieve.sum()) != int(pi_prefix[limit]):
-        raise SieveCacheError(
-            f"{path}: pi(limit) mismatch, bitset has {int(sieve.sum())} primes "
-            f"but pi_prefix[limit] = {int(pi_prefix[limit])}"
-        )
-    return PrimeTable(
-        limit=limit,
-        is_prime=sieve,
-        pi_prefix=pi_prefix,
-        s1_prefix=arrays[1],
-        s2_prefix=arrays[2],
-    )

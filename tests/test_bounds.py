@@ -118,6 +118,8 @@ def test_floor_sweep_small(table_small):
     assert {rec.n for rec in sweep.exceptions} == {5, 6, 7}
     for rec in sweep.exceptions:
         assert rec.exact == 0  # those windows hold no primes at all
+    # one exact sum per degree below threshold + MARGIN: 5, 6 and 7
+    assert sweep.escalations == 3
     sweep2 = bounds.density_floor_sweep(table_small, 10_000)
     assert sweep2.holds_from_11
     # spot values: (5, 7] holds only 7, (4, 5] holds only 5

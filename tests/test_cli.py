@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -185,18 +184,28 @@ def test_verify_r2_small(capsys):
     assert values[5] == "1/4"
 
 
-def test_sieve_cache_env(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "sieve.bin"
-    monkeypatch.setenv(cli.SIEVE_CACHE_ENV, str(cache))
-    argv = ["verify-primes", "--sieve-limit", "5000", "--grid-max", "60",
-            "--pairs", "5"]
-    code, _, _ = run(argv, capsys)
-    assert code == 0
-    assert cache.exists()
-    size = cache.stat().st_size
-    code2, _, _ = run(argv, capsys)
-    assert code2 == 0
-    assert cache.stat().st_size == size
+def test_removed_options_are_usage_errors(capsys):
+    for argv in (
+        ["verify-primes", "--sieve-cache", "x"],
+        ["estimate", "--n", "9", "--event", "window", "--window", "1", "5",
+         "--threads", "2"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+
+
+def test_sieve_limit_ignores_cache_env(tmp_path, capsys, monkeypatch):
+    # the sieve is rebuilt at the requested limit on every run, whatever
+    # the environment says
+    monkeypatch.setenv("PRECYCLES_SIEVE_CACHE", str(tmp_path / "sieve.bin"))
+    for limit in (20000, 5000):
+        code, out, _ = run(
+            ["verify-primes", "--sieve-limit", str(limit), "--grid-max", "60",
+             "--pairs", "5", "--format", "json"], capsys)
+        assert code == 0
+        sweeps = {s["name"]: s for s in json.loads(out)["sweeps"]}
+        assert sweeps["pi_bounds_range"]["checked"] == limit - 10
 
 
 def test_argparse_usage_exit():

@@ -178,12 +178,6 @@ def test_capacity_error():
     with pytest.raises(exact.EnumerationCapacityError) as info:
         exact.window_proportion(61, w, "sym")
     assert "montecarlo" in str(info.value)
-    with pytest.raises(exact.EnumerationCapacityError):
-        exact.window_proportion(
-            45, w, "sym", enumeration_bound=40)
-    # the override direction also works
-    value = exact.window_proportion(45, w, "sym", enumeration_bound=45)
-    assert 0 < value < 1
 
 
 def test_group_validation():

@@ -65,15 +65,6 @@ def test_estimate_deterministic():
     assert c.p_hat != a.p_hat  # astronomically unlikely to collide
 
 
-def test_estimate_thread_invariant():
-    w = exact.prime_window(1, 5)
-    single = montecarlo.estimate_event(
-        9, montecarlo.PreCycleInWindow(w), trials=30_000, seed=9)
-    multi = montecarlo.estimate_event(
-        9, montecarlo.PreCycleInWindow(w), trials=30_000, seed=9, threads=4)
-    assert single.p_hat == multi.p_hat
-
-
 def test_partial_last_block():
     # trials not a multiple of the block size must still count each draw
     w = exact.prime_window(1, 3)

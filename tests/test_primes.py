@@ -1,7 +1,5 @@
-import os
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,48 +87,6 @@ def test_is_prime_trial():
     want = {k for k in range(200) if _trial_division(k)}
     got = {k for k in range(200) if primes.is_prime_trial(k)}
     assert got == want
-
-
-def test_cache_round_trip(tmp_path, table_small):
-    path = tmp_path / "table.bin"
-    primes.save_cache(table_small, path)
-    loaded = primes.load_cache(path)
-    assert loaded.limit == table_small.limit
-    assert np.array_equal(loaded.is_prime, table_small.is_prime)
-    assert np.array_equal(loaded.pi_prefix, table_small.pi_prefix)
-    assert np.array_equal(loaded.s1_prefix, table_small.s1_prefix)
-    assert np.array_equal(loaded.s2_prefix, table_small.s2_prefix)
-
-
-def test_cache_rejects_bad_magic(tmp_path, table_small):
-    path = tmp_path / "table.bin"
-    primes.save_cache(table_small, path)
-    raw = bytearray(path.read_bytes())
-    raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(primes.SieveCacheError):
-        primes.load_cache(path)
-
-
-def test_cache_rejects_flipped_bit(tmp_path, table_small):
-    path = tmp_path / "table.bin"
-    primes.save_cache(table_small, path)
-    raw = bytearray(path.read_bytes())
-    # flip one primality bit in the packed bitset; the popcount check
-    # against the stored prefix counts must notice
-    raw[len(primes.CACHE_MAGIC) + 8 + 100] ^= 0x04
-    path.write_bytes(bytes(raw))
-    with pytest.raises(primes.SieveCacheError):
-        primes.load_cache(path)
-
-
-def test_cache_rejects_truncation(tmp_path, table_small):
-    path = tmp_path / "table.bin"
-    primes.save_cache(table_small, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(primes.SieveCacheError):
-        primes.load_cache(path)
 
 
 def test_build_sieve_rejects_tiny_limit():
