@@ -1,21 +1,24 @@
 """Exact class-counting statistics in S_n and A_n.
 
 Every function here returns plain ``fractions.Fraction`` values (always
-checked to lie in [0, 1] when they are proportions).  Two independent
-routes are kept deliberately separate so they can cross-check each
-other in the test suite:
+checked to lie in [0, 1] when they are proportions).  The production
+route is a coefficient recurrence for cycle-length avoidance,
+integerized as N_m = m! * q_m so the hot loop is pure bigint
+arithmetic.  The window statistics are sums of recurrence terms over
+window-prime subsets S with sum(S) <= n: by the exponential formula,
+one p-cycle for each p in S next to m = n - sum(S) points that avoid a
+set of lengths has proportion (prod_{p in S} 1/p) * q_m.
 
-* a coefficient recurrence for cycle-length avoidance, integerized as
-  N_m = m! * q_m so the hot loop is pure bigint arithmetic, and
-* a partition sweep that enumerates cycle types directly with an
-  incrementally maintained centralizer order.
+A partition sweep that enumerates cycle types directly, with an
+incrementally maintained centralizer order, is kept only as an
+independent oracle for the test suite and the acceptance criteria.
 
 Proportions over A_n weight each even class by 2/|C(lambda)|; the
 recurrence route gets a signed companion sequence for the same thing.
 
-Degrees above ``ENUMERATION_BOUND`` are refused by the sweep-based
-functions with :class:`EnumerationCapacityError`; Monte Carlo
-estimation (:mod:`precycles.montecarlo`) is the fallback at that scale.
+Degrees above ``ENUMERATION_BOUND`` are refused by the window functions
+and the sweep with :class:`EnumerationCapacityError`; Monte Carlo estimation
+(:mod:`precycles.montecarlo`) is the fallback at that scale.
 """
 from __future__ import annotations
 
@@ -23,11 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .perm import CycleType
 from .primes import PrimeTable, is_prime_trial
 
+# Largest degree the window functions accept.  The prime-subset sums
+# reach further (n = 100 takes under a second); the bound stays at
+# the old partition sweep's reach until a benchmark sets a new one.
 ENUMERATION_BOUND = 60
 
 # Windows with at most this many primes get a primality re-check on
@@ -36,7 +42,7 @@ _WINDOW_CHECK_LIMIT = 1000
 
 
 class EnumerationCapacityError(ValueError):
-    """Degree too large for exact partition enumeration."""
+    """Degree above ``ENUMERATION_BOUND`` for an exact window function."""
 
     def __init__(self, n: int, bound: int):
         super().__init__(
@@ -303,36 +309,99 @@ def pre_cycle_density(n: int, p: int) -> Fraction:
     return _check_unit_interval(Fraction(1, p) * coprime_order_density(n - p, p))
 
 
-def _window_accept(
+def _check_window_args(
+    n: int, group: str, window: PrimeWindow | None = None
+) -> None:
+    """The argument check shared by the window functions, in the order
+    group, window, bound."""
+    _check_group(group, n)
+    if window is not None:
+        _check_window(n, window)
+    if n > ENUMERATION_BOUND:
+        raise EnumerationCapacityError(n, ENUMERATION_BOUND)
+
+
+def _check_window(n: int, window: PrimeWindow) -> None:
+    for p in window.primes:
+        if p > n:
+            raise ValueError(f"window prime {p} exceeds degree {n}")
+
+
+def _prime_subsets(
     n: int, primes: tuple[int, ...]
-) -> Callable[[list[tuple[int, int]]], bool]:
-    prime_set = set(primes)
-    multiples = {p: range(2 * p, n + 1, p) for p in primes}
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Yield (S, m, ways) for every nonempty S of ``primes`` with sum <= n.
 
-    def accept(parts: list[tuple[int, int]]) -> bool:
-        d: dict[int, int] | None = None
-        for k, m in parts:
-            if m == 1 and k in prime_set:
-                if d is None:
-                    d = dict(parts)
-                if not any(d.get(q) for q in multiples[k]):
-                    return True
-        return False
+    m = n - sum(S) points remain, and ways = n! / (m! * prod(S)) is the
+    number of ways to place one p-cycle for each p in S.  ``primes``
+    must ascend, so the walk stops at the first prime that does not fit.
+    """
+    chosen: list[int] = []
 
-    return accept
+    def walk(start: int, m: int, ways: int):
+        for i in range(start, len(primes)):
+            p = primes[i]
+            if p > m:
+                return
+            chosen.append(p)
+            w = ways * (math.perm(m, p) // p)
+            yield tuple(chosen), m - p, w
+            yield from walk(i + 1, m - p, w)
+            chosen.pop()
+
+    return walk(0, n, 1)
+
+
+class _Avoiders:
+    """Avoidance class counts for one call, memoised on (m, forbidden).
+
+    ``count(m, forbidden, sign)`` is m! times the proportion of S_m with
+    no cycle length in ``forbidden`` (lengths above m are ignored, so
+    they do not split the memo); for A_n the signed companion enters
+    with ``sign``, the parity of the cycles placed outside the m points.
+    A term ``ways * count(...)`` summed over prime subsets and divided
+    by n! is then a group proportion.
+    """
+
+    def __init__(self, group: str):
+        self.signed = group == "alt"
+        self.memo: dict[tuple[int, frozenset[int]], tuple[int, int | None]] = {}
+
+    def count(self, m: int, forbidden: Iterable[int], sign: int = 1) -> int:
+        key = (m, frozenset(a for a in forbidden if a <= m))
+        if key not in self.memo:
+            allowed = [j not in key[1] for j in range(m + 1)]
+            self.memo[key] = _avoidance_counts(m, allowed, self.signed)
+        total, signed_total = self.memo[key]
+        return total + sign * signed_total if self.signed else total
+
+
+def _multiples(chosen: tuple[int, ...], m: int) -> set[int]:
+    return {k for p in chosen for k in range(p, m + 1, p)}
+
+
+def _parity(chosen: tuple[int, ...]) -> int:
+    """prod (-1)**(p-1) over the chosen primes: -1 exactly when 2 is one."""
+    return -1 if 2 in chosen else 1
 
 
 def window_proportion(n: int, window: PrimeWindow, group: str = "sym") -> Fraction:
     """Exact proportion of pre-p-cycles for some prime p in the window.
 
     A class qualifies when some window prime p has multiplicity exactly
-    1 and no multiple of p appears as another cycle length.
+    1 and no multiple of p appears as another cycle length.  Computed by
+    inclusion-exclusion over window-prime subsets S: the classes that
+    are pre-p for every p in S have proportion
+    (prod_{p in S} 1/p) * q_m(no length divisible by a prime of S),
+    with m = n - sum(S).
     """
-    _check_window(n, window)
-    if not window.primes:
-        _check_group(group, n)
-        return Fraction(0)
-    return _sweep_proportion(n, group, _window_accept(n, window.primes))
+    _check_window_args(n, group, window)
+    avoiders = _Avoiders(group)
+    total = 0
+    for chosen, m, ways in _prime_subsets(n, window.primes):
+        term = ways * avoiders.count(m, _multiples(chosen, m), _parity(chosen))
+        total += term if len(chosen) % 2 else -term
+    return _check_unit_interval(Fraction(total, math.factorial(n)))
 
 
 class WindowHitStats(NamedTuple):
@@ -340,12 +409,6 @@ class WindowHitStats(NamedTuple):
 
     hit: Fraction
     repeat: Fraction
-
-
-def _check_window(n: int, window: PrimeWindow) -> None:
-    for p in window.primes:
-        if p > n:
-            raise ValueError(f"window prime {p} exceeds degree {n}")
 
 
 def window_hit_proportions(
@@ -358,51 +421,31 @@ def window_hit_proportions(
     lengths is at least 2.  hit - repeat is a lower bound for
     :func:`window_proportion` (the difference set consists only of
     pre-p-cycles), and window_proportion <= hit.
+
+    hit is 1 minus the avoidance of the window primes.  hit - repeat is
+    a disjoint sum over the set S of window primes that occur: each
+    p in S is a single p-cycle with no other multiple of p, and the
+    primes of the window outside S are absent.
     """
-    _check_group(group, n)
-    _check_window(n, window)
-    if n > ENUMERATION_BOUND:
-        raise EnumerationCapacityError(n, ENUMERATION_BOUND)
-    if not window.primes:
-        return WindowHitStats(Fraction(0), Fraction(0))
-    prime_set = set(window.primes)
-    multiples = {p: range(2 * p, n + 1, p) for p in window.primes}
+    _check_window_args(n, group, window)
+    avoiders = _Avoiders(group)
+    primes = window.primes
     nf = math.factorial(n)
-    hit_total = 0
-    repeat_total = 0
-    alt = group == "alt"
-
-    def visit(parts, cent, num):
-        nonlocal hit_total, repeat_total
-        if alt and (n - num) % 2:
-            return
-        d: dict[int, int] | None = None
-        hit = False
-        repeat = False
-        for k, m in parts:
-            if k in prime_set:
-                hit = True
-                if d is None:
-                    d = dict(parts)
-                if m + sum(d.get(q, 0) for q in multiples[k]) >= 2:
-                    repeat = True
-                    break
-        if hit:
-            w = 2 * (nf // cent) if alt else nf // cent
-            hit_total += w
-            if repeat:
-                repeat_total += w
-
-    sweep_partitions(n, visit)
+    hit = 1 - Fraction(avoiders.count(n, primes), nf)
+    single = 0
+    for chosen, m, ways in _prime_subsets(n, primes):
+        forbidden = _multiples(chosen, m)
+        forbidden.update(p for p in primes if p not in chosen)
+        single += ways * avoiders.count(m, forbidden, _parity(chosen))
     return WindowHitStats(
-        _check_unit_interval(Fraction(hit_total, nf)),
-        _check_unit_interval(Fraction(repeat_total, nf)),
+        _check_unit_interval(hit),
+        _check_unit_interval(hit - Fraction(single, nf)),
     )
 
 
 def pre_prime_cycle_proportion(n: int, group: str = "sym") -> Fraction:
     """Exact proportion of pre-p-cycles over all primes 2 <= p <= n - 3."""
-    _check_group(group, n)
+    _check_window_args(n, group)
     return window_proportion(n, prime_window(1, max(n - 3, 1)), group)
 
 

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precycles import exact
+from precycles import exact, montecarlo
+
+
+def _window_slice(n, data):
+    """A window of consecutive primes <= n, drawn as a slice (maybe empty)."""
+    ps = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+    i = data.draw(st.integers(min_value=0, max_value=len(ps)))
+    j = data.draw(st.integers(min_value=i, max_value=len(ps)))
+    sub = ps[i:j]
+    if sub:
+        return exact.prime_window(sub[0] - 1, sub[-1])
+    return exact.prime_window(1, 1)
 
 
 def test_avoid_worked_examples():
@@ -130,18 +141,30 @@ def test_large_prime_window_density():
 
 @given(st.integers(min_value=2, max_value=30), st.data())
 def test_hit_repeat_sandwich(n, data):
-    ps = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
-    i = data.draw(st.integers(min_value=0, max_value=len(ps)))
-    j = data.draw(st.integers(min_value=i, max_value=len(ps)))
-    sub = ps[i:j]
-    if sub:
-        w = exact.prime_window(sub[0] - 1, sub[-1])
-    else:
-        w = exact.prime_window(1, 1)
+    w = _window_slice(n, data)
     for group in ("sym", "alt"):
         value = exact.window_proportion(n, w, group)
         stats = exact.window_hit_proportions(n, w, group)
         assert stats.hit - stats.repeat <= value <= stats.hit
+
+
+@given(st.integers(min_value=2, max_value=24), st.data())
+def test_window_statistics_match_shared_event_predicates(n, data):
+    """Each window statistic equals the sweep total of the cycle types
+    that the Monte Carlo event accepts, so an event has one definition
+    for both layers."""
+    w = _window_slice(n, data)
+    for group in ("sym", "alt"):
+        stats = exact.window_hit_proportions(n, w, group)
+        for event, value in (
+            (montecarlo.PreCycleInWindow(w), exact.window_proportion(n, w, group)),
+            (montecarlo.InT(w), stats.hit),
+            (montecarlo.InU(w), stats.repeat),
+        ):
+            pred = event.predicate(n)
+            swept = exact._sweep_proportion(
+                n, group, lambda parts: pred(dict(parts)))
+            assert value == swept, (event, group)
 
 
 def test_sandwich_is_strict_for_multi_prime_windows():
@@ -178,6 +201,22 @@ def test_capacity_error():
     with pytest.raises(exact.EnumerationCapacityError) as info:
         exact.window_proportion(61, w, "sym")
     assert "montecarlo" in str(info.value)
+
+
+def test_window_functions_check_group_then_window_then_bound():
+    empty = exact.prime_window(1, 1)
+    too_wide = exact.prime_window(1, 67)
+    for call in (exact.window_proportion, exact.window_hit_proportions):
+        with pytest.raises(exact.EnumerationCapacityError):
+            call(61, empty, "sym")
+        with pytest.raises(ValueError, match="^group must be"):
+            call(61, too_wide, "cyclic")
+        with pytest.raises(ValueError, match="^window prime 67 exceeds"):
+            call(61, too_wide, "sym")
+    with pytest.raises(ValueError, match="^group must be"):
+        exact.pre_prime_cycle_proportion(61, "cyclic")
+    with pytest.raises(exact.EnumerationCapacityError):
+        exact.pre_prime_cycle_proportion(61, "alt")
 
 
 def test_group_validation():
