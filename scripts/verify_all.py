@@ -52,8 +52,7 @@ def main() -> int:
                                        Fraction(1, 19))
     status = "ok" if sweep.holds_from_11 else "FAILED"
     print(f"density floor vs 1/19: {status} (min {sweep.min_value:.5f} at "
-          f"n = {sweep.argmin_n}, exceptions "
-          f"{[r.n for r in sweep.exceptions]}, "
+          f"n = {sweep.argmin_n}, {sweep.below_count} degrees below, "
           f"{time.perf_counter() - t0:.2f}s)")
     failures += 0 if sweep.holds_from_11 else 1
 

@@ -1,12 +1,12 @@
 """Closed-form bounds, inequality verifiers, and certified sweeps.
 
-Everything here is float-first with an escalation story: a comparison
-that lands within ``MARGIN`` (1e-9) of its boundary is re-run, with
-exact rationals when both sides are rational (reciprocal prime sums
-against 1/19) and with 50-to-200-digit arithmetic when one side is
-transcendental.  Decimal constants are stored to 30 significant digits
-and bracketed, so each inequality can pick the rounding direction that
-makes its own check conservative.
+Comparisons against closed forms are float-first: one that lands within
+``MARGIN`` (1e-9) of its boundary is re-run with exact rational prime
+sums and 50-to-200-digit arithmetic.  The density floor against a
+rational threshold is decided in integers, from the fixed-point bracket
+of :mod:`precycles.primes`.  Decimal constants are stored to 30
+significant digits and bracketed, so each inequality can pick the
+rounding direction that makes its own check conservative.
 
 The verifiers cover:
 
@@ -21,8 +21,9 @@ The verifiers cover:
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -30,7 +31,8 @@ import mpmath
 import numpy as np
 
 from .primes import (
-    MARGIN,
+    FIXED_BITS,
+    FIXED_UNIT,
     PrimeTable,
     sum_recip,
     sum_recip_exact,
@@ -38,6 +40,9 @@ from .primes import (
     sum_recip_sq_exact,
     verify_pi_bounds,
 )
+
+# Float comparisons closer to the boundary than this are escalated.
+MARGIN = 1e-9
 
 # Truncated (rounded toward zero) 30-significant-digit decimals; the
 # true constants lie strictly between value and value + 1e-30.
@@ -313,7 +318,7 @@ def verify_recip_sq_upper_all(
         raise ValueError(f"need 12 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
     xs = np.arange(a_lo, b_hi + 1)
     logs = np.log(xs)
-    s2 = table.s2_prefix[a_lo : b_hi + 1]
+    s2 = (table.s2_prefix * FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
     f = s2 + 1.61 / (xs * logs)
     g = s2 + 2.22 / (xs * logs)
     margins = g - _suffix_extreme(f, use_max=True)
@@ -338,24 +343,22 @@ def verify_recip_bounds_all(
     xs = np.arange(a_lo, b_hi + 1)
     loglogs = np.log(np.log(xs))
     inv2 = 1.0 / np.log(xs) ** 2
-    s1 = table.s1_prefix[a_lo : b_hi + 1]
+    s1 = (table.s1_prefix * FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
     # lower side: s1[b] - (loglog b - inv2[b]/2) > s1[a] - (loglog a + inv2[a])
-    low_f = s1 - loglogs + 0.5 * inv2
-    low_g = s1 - loglogs - inv2
-    low_margins = _suffix_extreme(low_f, use_max=False) - low_g
     # upper side: s1[b] - (loglog b + inv2[b]) < s1[a] - (loglog a - inv2[a]/2)
-    hi_f = s1 - loglogs - inv2
-    hi_g = s1 - loglogs + 0.5 * inv2
-    hi_margins = hi_g - _suffix_extreme(hi_f, use_max=True)
+    plus = s1 - loglogs + 0.5 * inv2
+    minus = s1 - loglogs - inv2
+    low_margins = _suffix_extreme(plus, use_max=False) - minus
+    hi_margins = plus - _suffix_extreme(minus, use_max=True)
     low = _finish_pair_sweep(
         table, "recip_lower_all", xs, low_margins,
         lambda a, b: check_recip_bounds(table, a, b)[0],
-        lambda a: int(xs[np.argmin(low_f[a - a_lo :]) + (a - a_lo)]),
+        lambda a: int(xs[np.argmin(plus[a - a_lo :]) + (a - a_lo)]),
     )
     high = _finish_pair_sweep(
         table, "recip_upper_all", xs, hi_margins,
         lambda a, b: check_recip_bounds(table, a, b)[1],
-        lambda a: int(xs[np.argmax(hi_f[a - a_lo :]) + (a - a_lo)]),
+        lambda a: int(xs[np.argmax(minus[a - a_lo :]) + (a - a_lo)]),
     )
     return SweepReport(
         name="recip_bounds_all",
@@ -376,61 +379,55 @@ def _finish_pair_sweep(
     witness_b: Callable[[int], int],
 ) -> SweepReport:
     """Common tail: escalate near-margin a values via their witness b."""
-    failures: list[BoundReport] = []
-    escalations = 0
-    idx = np.flatnonzero(margins <= MARGIN)
-    for i in idx.tolist():
-        a = int(xs[i])
-        report = recheck(a, witness_b(a))
-        escalations += 1
-        if not report.holds:
-            failures.append(report)
+    near = [int(xs[i]) for i in np.flatnonzero(margins <= MARGIN).tolist()]
+    reports = [recheck(a, witness_b(a)) for a in near]
     k = int(np.argmin(margins))
     n_vals = len(xs)
     return SweepReport(
         name=name,
         checked=n_vals * (n_vals + 1) // 2,
-        failures=tuple(failures),
+        failures=tuple(r for r in reports if not r.holds),
         min_margin=float(margins[k]),
         argmin={"a": int(xs[k]), "b": witness_b(int(xs[k]))},
-        escalations=escalations,
+        escalations=len(near),
     )
 
 
 def verify_pi_bounds_range(
     table: PrimeTable, lo: int = 11, hi: int | None = None
 ) -> SweepReport:
-    """Check the prime-counting bounds for every integer in [lo, hi]."""
+    """Check the prime-counting bounds for every integer in [lo, hi].
+
+    pi is constant from one prime to the next and both bounds increase
+    for x >= 11, so each margin is least at an end of such a step; only
+    lo, hi, and p - 1 and p for primes lo < p <= hi are evaluated.
+    """
     hi = table.limit if hi is None else hi
     if not 11 <= lo <= hi <= table.limit:
         raise ValueError(f"need 11 <= lo <= hi <= limit, got {lo}, {hi}")
-    xs = np.arange(lo, hi + 1)
+    ps = table.primes_between(lo, hi)
+    xs = np.concatenate(([lo], np.stack((ps - 1, ps), axis=1).ravel(), [hi]))
+    xs = xs[np.diff(xs, prepend=lo - 1) > 0]
     logs = np.log(xs)
     base = xs / logs
-    pis = table.pi_prefix[lo : hi + 1].astype(float)
+    pis = table.pi_prefix[xs].astype(float)
     low_margin = pis - base
     high_margin = base * (1.0 + 1.5 / logs) - pis
     margins = np.minimum(low_margin, high_margin)
-    failures = []
-    escalations = 0
-    for i in np.flatnonzero(margins <= MARGIN).tolist():
-        x = int(xs[i])
-        escalations += 1
-        if not verify_pi_bounds(table, x):
-            failures.append(
-                BoundReport(
-                    "pi_bounds", {"x": x}, float(pis[i]), float(base[i]),
-                    False, float(margins[i]),
-                )
-            )
+    near = np.flatnonzero(margins <= MARGIN).tolist()
+    failures = [
+        BoundReport("pi_bounds", {"x": int(xs[i])}, float(pis[i]),
+                    float(base[i]), False, float(margins[i]))
+        for i in near if not verify_pi_bounds(table, int(xs[i]))
+    ]
     k = int(np.argmin(margins))
     return SweepReport(
         name="pi_bounds_range",
-        checked=len(xs),
+        checked=hi - lo + 1,
         failures=tuple(failures),
         min_margin=float(margins[k]),
         argmin={"x": int(xs[k])},
-        escalations=escalations,
+        escalations=len(near),
     )
 
 
@@ -529,18 +526,25 @@ class FloorRecord:
 
 @dataclass(frozen=True)
 class FloorSweep:
-    """Result of sweeping the large-prime density floor over [5, n_max]."""
+    """Result of sweeping the large-prime density floor over [5, n_max].
+
+    ``exceptions`` lists the first FLOOR_EXACT_EXCEPTIONS failing degrees
+    only; ``below_count`` and ``holds_from_11`` cover all of them.
+    """
 
     n_max: int
     threshold: Fraction
     exceptions: tuple[FloorRecord, ...]
+    below_count: int
+    holds_from_11: bool
     min_value: float
     argmin_n: int
     escalations: int = 0
 
-    @property
-    def holds_from_11(self) -> bool:
-        return all(r.n < 11 for r in self.exceptions)
+
+# Exact sums cost about a second each near n = 10**6; ten covers the
+# nine degrees below 1/19 up to 720000.
+FLOOR_EXACT_EXCEPTIONS = 10
 
 
 def density_floor_sweep(
@@ -553,35 +557,44 @@ def density_floor_sweep(
     Every permutation with a cycle of prime length p in (n/2, n-3]
     powers to a p-cycle, and for such large p the density of that event
     is exactly 1/p, so this sum is a certified floor for the
-    pre-p-cycle proportion.  Exceptions carry the exact rational sum;
+    pre-p-cycle proportion.  Each degree is decided in integers: with S
+    the fixed-point sum over its count primes and T = 2**60 * threshold,
+    S + count < T certifies a failure and S >= T a pass; only degrees in
+    between get an exact rational sum, as do the reported exceptions.
     ``escalations`` counts every exact sum computed.
     """
     if n_max < 5:
         raise ValueError(f"need n_max >= 5, got {n_max}")
     if n_max > table.limit:
         raise ValueError(f"n_max {n_max} exceeds sieve limit {table.limit}")
+    t = Fraction(threshold)
+    target = -((-t.numerator << FIXED_BITS) // t.denominator)  # ceil(2**60 t)
     ns = np.arange(5, n_max + 1)
-    vals = table.s1_prefix[ns - 3] - table.s1_prefix[ns // 2]
-    thr = float(threshold)
-    exceptions: list[FloorRecord] = []
-    suspect = np.flatnonzero(vals < thr + MARGIN)
-    for i in suspect.tolist():
-        n = int(ns[i])
-        exact = sum_recip_exact(table, n // 2, n - 3)
-        if exact < threshold:
-            exceptions.append(FloorRecord(n=n, value=float(vals[i]), exact=exact))
+    hi_idx = table.pi_prefix[ns - 3]
+    lo_idx = table.pi_prefix[ns // 2]
+    sums = table.s1_prefix[hi_idx] - table.s1_prefix[lo_idx]
+    below = sums + (hi_idx - lo_idx) < target
+    exact_sum = functools.cache(lambda n: sum_recip_exact(table, n // 2, n - 3))
+    for i in np.flatnonzero(~below & (sums < target)).tolist():
+        below[i] = exact_sum(i + 5) < t
+    below_ns = np.flatnonzero(below) + 5
+    exceptions = tuple(
+        FloorRecord(n, float(sums[n - 5]) * FIXED_UNIT, exact_sum(n))
+        for n in below_ns[:FLOOR_EXACT_EXCEPTIONS].tolist()
+    )
     # Report the minimum over the asserted range n >= 11 (or the whole
-    # sweep when it stops earlier); the below-threshold degrees are all
-    # in the exceptions list regardless.
-    lo = min(11 - 5, len(vals) - 1)
-    k = lo + int(np.argmin(vals[lo:]))
+    # sweep when it stops earlier).
+    lo = min(11 - 5, len(sums) - 1)
+    k = lo + int(np.argmin(sums[lo:]))
     return FloorSweep(
         n_max=n_max,
         threshold=threshold,
-        exceptions=tuple(exceptions),
-        min_value=float(vals[k]),
-        argmin_n=int(ns[k]),
-        escalations=len(suspect),
+        exceptions=exceptions,
+        below_count=len(below_ns),
+        holds_from_11=not below[11 - 5 :].any(),
+        min_value=float(sums[k]) * FIXED_UNIT,
+        argmin_n=k + 5,
+        escalations=exact_sum.cache_info().currsize,
     )
 
 

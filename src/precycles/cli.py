@@ -247,16 +247,18 @@ def cmd_verify_primes(ns) -> int:
 
 
 def cmd_verify_r2(ns) -> int:
-    table = primes.build_sieve(max(ns.sieve_limit, ns.max))
+    table = primes.build_sieve(ns.max)
     sweep = bounds_mod.density_floor_sweep(table, ns.max, ns.threshold)
     lines = [
         f"floor sweep 5..{ns.max} against {_frac_str(ns.threshold)}: "
         f"min value {sweep.min_value:.6f} at n = {sweep.argmin_n}, "
-        f"{sweep.escalations} escalations",
+        f"{sweep.below_count} below, {sweep.escalations} escalations",
     ]
-    for rec in sweep.exceptions:
+    # Written out once: an exact sum near n = 10**6 takes a second.
+    exceptions = [r.to_json_dict() for r in sweep.exceptions]
+    for rec in exceptions:
         lines.append(
-            f"  below threshold: n = {rec.n}, sum = {_frac_str(rec.exact)}"
+            f"  below threshold: n = {rec['n']}, sum = {rec['exact']}"
         )
     lines.append(
         f"holds for all 11 <= n <= {ns.max}: {sweep.holds_from_11}"
@@ -282,7 +284,8 @@ def cmd_verify_r2(ns) -> int:
         ns,
         {"max": ns.max, "threshold": ns.threshold,
          "min_value": sweep.min_value, "argmin_n": sweep.argmin_n,
-         "exceptions": [r.to_json_dict() for r in sweep.exceptions],
+         "exceptions": exceptions,
+         "below_count": sweep.below_count,
          "holds_from_11": sweep.holds_from_11,
          "exact_proportions": [
              {"n": n, "value": v} for n, v in pis],
@@ -506,15 +509,12 @@ def cmd_selftest(ns) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _add_common(sub, *, fmt=True, seed=False, sieve=False):
+def _add_common(sub, *, fmt=True, seed=False):
     if fmt:
         sub.add_argument("--format", choices=("text", "json", "csv"),
                          default="text")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
-    if sieve:
-        sub.add_argument("--sieve-limit", type=int,
-                         default=DEFAULT_SIEVE_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prime-count and prime-sum inequality sweeps")
     p.add_argument("--grid-max", type=int, default=2000)
     p.add_argument("--pairs", type=int, default=1000)
-    _add_common(p, seed=True, sieve=True)
+    p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_verify_primes)
 
     p = sub.add_parser("verify-r2",
@@ -556,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=400_000)
     p.add_argument("--threshold", type=rational, default=Fraction(1, 19))
     p.add_argument("--exact-upto", type=int, default=50)
-    _add_common(p, sieve=True)
+    _add_common(p)
     p.set_defaults(func=cmd_verify_r2)
 
     p = sub.add_parser("bounds", help="closed-form bound evaluators")
@@ -616,6 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
+    # Exact rationals are written in full: a floor exception near
+    # n = 10**6 has about 156,000 digits a side.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return ns.func(ns)
     except (ValueError, OSError, recognize.SourceError) as exc:

@@ -1,16 +1,14 @@
-"""Prime sieve with certified prefix sums of 1/p and 1/p**2.
+"""Prime sieve with fixed-point prefix sums of 1/p and 1/p**2.
 
 The sieve backs every inequality sweep in this package: reciprocal prime
 sums over half-open intervals (a, b], the prime-counting bounds
 x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)), and the density-floor
 sweep in :mod:`precycles.bounds`.
 
-Float prefix sums are built with Kahan compensation, so the accumulated
-error is a few ulp of the running total (far below the documented budget
-of 1e-12 * pi(x) per entry).  Comparisons that land within ``MARGIN`` of
-an inequality boundary are re-run either with exact rationals (both
-sides rational) or with 50-digit arithmetic (transcendental sides), so
-no check is ever certified on rounding noise.
+The prefix sums are integers, running sums of floor(2**60 / p) and
+floor(2**60 / p**2) over the primes.  Each floor loses less than one
+unit, so where two entries differ by S over count primes the true sum
+lies in [S, S + count] / 2**60: a certified bracket from integers alone.
 """
 from __future__ import annotations
 
@@ -21,18 +19,21 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-# Float comparisons closer to the boundary than this are escalated.
-MARGIN = 1e-9
+# Prefix sums count in units of 2**-FIXED_BITS; the sum of 1/p stays
+# below 8 (the int64 range) far beyond any sieve that fits in memory.
+FIXED_BITS = 60
+FIXED_UNIT = 2.0**-FIXED_BITS
 
 
 @dataclass(frozen=True)
 class PrimeTable:
     """Sieve of Eratosthenes up to ``limit`` plus prefix-sum arrays.
 
-    ``pi_prefix[x]`` counts primes <= x.  ``s1_prefix[x]`` and
-    ``s2_prefix[x]`` hold compensated sums of 1/p and 1/p**2 over
-    p <= x.  All arrays are read-only; a table can be shared freely
-    between threads.
+    ``is_prime`` and ``pi_prefix`` are indexed by x: ``pi_prefix[x]``
+    counts primes <= x.  ``s1_prefix[j]`` and ``s2_prefix[j]`` sum
+    floor(2**60 / p) and floor(2**60 / p**2) over the first j primes.
+    All arrays are read-only; a table can be shared freely between
+    threads.
     """
 
     limit: int
@@ -57,7 +58,7 @@ class PrimeTable:
 
 
 def build_sieve(limit: int) -> PrimeTable:
-    """Sieve [0, limit] and build the three prefix arrays.
+    """Sieve [0, limit] and build the prefix arrays.
 
     Raises ValueError for limit < 2.
     """
@@ -68,32 +69,14 @@ def build_sieve(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    pi_prefix = np.cumsum(sieve, dtype=np.int64)
-    primes = np.flatnonzero(sieve)
-
-    # Kahan-compensated running sums, one entry per prime; the full
-    # x-indexed arrays are then a gather through pi_prefix.
-    s1_at = np.empty(len(primes) + 1)
-    s2_at = np.empty(len(primes) + 1)
-    s1_at[0] = s2_at[0] = 0.0
-    t1 = c1 = t2 = c2 = 0.0
-    for j, p in enumerate(primes.tolist(), start=1):
-        y = 1.0 / p - c1
-        s = t1 + y
-        c1 = (s - t1) - y
-        t1 = s
-        s1_at[j] = t1
-        y = 1.0 / (p * p) - c2
-        s = t2 + y
-        c2 = (s - t2) - y
-        t2 = s
-        s2_at[j] = t2
+    primes = np.flatnonzero(sieve).astype(np.int64)
+    one = np.int64(1 << FIXED_BITS)
     return PrimeTable(
         limit=limit,
         is_prime=sieve,
-        pi_prefix=pi_prefix,
-        s1_prefix=s1_at[pi_prefix],
-        s2_prefix=s2_at[pi_prefix],
+        pi_prefix=np.cumsum(sieve, dtype=np.int64),
+        s1_prefix=np.concatenate(([0], np.cumsum(one // primes))),
+        s2_prefix=np.concatenate(([0], np.cumsum(one // (primes * primes)))),
     )
 
 
@@ -130,16 +113,20 @@ def _interval_indices(a: float, b: float, limit: int) -> tuple[int, int]:
     return _floor_index(a, limit), _floor_index(b, limit)
 
 
-def sum_recip(table: PrimeTable, a: float, b: float) -> float:
-    """sum of 1/p over primes a < p <= b, from the compensated prefix."""
+def _fixed_sum(table: PrimeTable, prefix: np.ndarray, a: float, b: float) -> int:
     ia, ib = _interval_indices(a, b, table.limit)
-    return float(table.s1_prefix[ib] - table.s1_prefix[ia])
+    return int(prefix[table.pi_prefix[ib]] - prefix[table.pi_prefix[ia]])
+
+
+def sum_recip(table: PrimeTable, a: float, b: float) -> float:
+    """sum of 1/p over primes a < p <= b as S / 2**60, below the true
+    sum by less than 2**-60 per prime."""
+    return _fixed_sum(table, table.s1_prefix, a, b) * FIXED_UNIT
 
 
 def sum_recip_sq(table: PrimeTable, a: float, b: float) -> float:
     """sum of 1/p**2 over primes a < p <= b."""
-    ia, ib = _interval_indices(a, b, table.limit)
-    return float(table.s2_prefix[ib] - table.s2_prefix[ia])
+    return _fixed_sum(table, table.s2_prefix, a, b) * FIXED_UNIT
 
 
 def _balanced_recip_sum(vals: list[int]) -> tuple[int, int]:
@@ -172,25 +159,17 @@ def sum_recip_sq_exact(table: PrimeTable, a: float, b: float) -> Fraction:
 
 
 def verify_pi_bounds(table: PrimeTable, x: int) -> bool:
-    """Check x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)).
+    """Check x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)) at 50 digits.
 
     Valid for integers 11 <= x <= table.limit; smaller x raise
-    ValueError.  Near-boundary comparisons are re-run at 50 digits.
+    ValueError.
     """
     if x < 11:
         raise ValueError(f"prime-count bounds require x >= 11, got {x}")
     if x > table.limit:
         raise ValueError(f"x={x} exceeds sieve limit {table.limit}")
     pi_x = int(table.pi_prefix[x])
-    logx = math.log(x)
-    lo = x / logx
-    hi = lo * (1.0 + 3.0 / (2.0 * logx))
-    if pi_x - lo > MARGIN and hi - pi_x > MARGIN:
-        return True
-    if pi_x - lo < -MARGIN or hi - pi_x < -MARGIN:
-        return False
     with mpmath.workdps(50):
         mlog = mpmath.log(x)
         mlo = x / mlog
-        mhi = mlo * (1 + 3 / (2 * mlog))
-        return bool(mlo <= pi_x <= mhi)
+        return bool(mlo <= pi_x <= mlo * (1 + 3 / (2 * mlog)))

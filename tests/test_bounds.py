@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,24 @@ def test_pi_bounds_range(table_small):
         bounds.verify_pi_bounds_range(table_small, 10, 100)
 
 
+def test_pi_bounds_range_matches_every_x():
+    # the sweep evaluates step ends only; compare with every integer x
+    table = primes.build_sieve(100_000)
+    for lo, hi in ((11, 100_000), (12, 12), (13, 16), (14, 17),
+                   (1000, 50_000), (99_990, 100_000)):
+        rep = bounds.verify_pi_bounds_range(table, lo, hi)
+        xs = np.arange(lo, hi + 1)
+        logs = np.log(xs)
+        base = xs / logs
+        pis = table.pi_prefix[lo : hi + 1].astype(float)
+        margins = np.minimum(pis - base, base * (1.0 + 1.5 / logs) - pis)
+        k = int(np.argmin(margins))
+        assert rep.min_margin == float(margins[k]), (lo, hi)
+        assert rep.argmin == {"x": int(xs[k])}, (lo, hi)
+        assert rep.holds == bool((margins > 0).all()), (lo, hi)
+        assert rep.checked == hi - lo + 1
+
+
 def test_report_shapes(table_small):
     rep = bounds.check_recip_sq_upper(table_small, 12, 40)
     d = rep.to_json_dict()
@@ -118,15 +137,36 @@ def test_floor_sweep_small(table_small):
     assert {rec.n for rec in sweep.exceptions} == {5, 6, 7}
     for rec in sweep.exceptions:
         assert rec.exact == 0  # those windows hold no primes at all
-    # one exact sum per degree below threshold + MARGIN: 5, 6 and 7
+    # one exact sum per reported exception: 5, 6 and 7
     assert sweep.escalations == 3
+    assert sweep.below_count == 3
     sweep2 = bounds.density_floor_sweep(table_small, 10_000)
     assert sweep2.holds_from_11
+    assert sweep2.below_count == 3
     # spot values: (5, 7] holds only 7, (4, 5] holds only 5
     ns = {rec.n for rec in sweep2.exceptions}
     assert ns == {5, 6, 7}
     assert primes.sum_recip_exact(table_small, 5, 7) == Fraction(1, 7)
     assert primes.sum_recip_exact(table_small, 4, 5) == Fraction(1, 5)
+
+
+def test_floor_sweep_ties_and_cap(table_small):
+    # n = 10, 11, 12 sum to exactly 1/7: the integer bracket straddles
+    # the threshold, the exact sum decides, and equality holds
+    sweep = bounds.density_floor_sweep(table_small, 12, Fraction(1, 7))
+    assert [rec.n for rec in sweep.exceptions] == [5, 6, 7]
+    assert sweep.holds_from_11
+    assert sweep.escalations == 6
+    # every degree fails a threshold of 1; only the first few get
+    # exact sums, while the count and the verdict cover all of them
+    sweep = bounds.density_floor_sweep(table_small, 10_000, Fraction(1))
+    cap = bounds.FLOOR_EXACT_EXCEPTIONS
+    assert [rec.n for rec in sweep.exceptions] == list(range(5, 5 + cap))
+    assert sweep.below_count == 10_000 - 4
+    assert not sweep.holds_from_11
+    assert sweep.escalations == cap
+    for rec in sweep.exceptions:
+        assert rec.exact == primes.sum_recip_exact(table_small, rec.n // 2, rec.n - 3)
 
 
 def test_floor_record_json(table_small):

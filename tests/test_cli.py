@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from precycles import cli, perm, recognize
+from precycles import bounds, cli, perm, recognize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -184,9 +190,33 @@ def test_verify_r2_small(capsys):
     assert values[5] == "1/4"
 
 
+def test_verify_r2_million_is_decided_without_runaway():
+    # 268,682 degrees up to 10**6 fall below 1/19; the sweep decides them
+    # all from the integer prime table and sums only a few exactly
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from precycles.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "verify-r2", "--max", "1000000", "--exact-upto", "0",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    blob = json.loads(proc.stdout)
+    assert blob["holds_from_11"] is False
+    assert blob["below_count"] == 268_682
+    ns = [e["n"] for e in blob["exceptions"]]
+    assert len(ns) <= bounds.FLOOR_EXACT_EXCEPTIONS
+    assert ns[:3] == [5, 6, 7]
+    assert ns[3] == 719_534
+
+
 def test_removed_options_are_usage_errors(capsys):
     for argv in (
         ["verify-primes", "--sieve-cache", "x"],
+        ["verify-r2", "--sieve-limit", "1000000"],
         ["estimate", "--n", "9", "--event", "window", "--window", "1", "5",
          "--threads", "2"],
     ):

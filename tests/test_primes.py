@@ -55,6 +55,14 @@ def test_exact_and_float_sums_agree(table_small, a, width):
     exact_sq = primes.sum_recip_sq_exact(table_small, a, b)
     approx_sq = primes.sum_recip_sq(table_small, a, b)
     assert abs(float(exact_sq) - approx_sq) < 1e-12
+    # the fixed-point prefixes bracket both exact sums:
+    # S <= 2**60 * sum <= S + count
+    i, j = table_small.pi_prefix[a], table_small.pi_prefix[b]
+    count = int(j - i)
+    for prefix, value in ((table_small.s1_prefix, exact),
+                          (table_small.s2_prefix, exact_sq)):
+        s = int(prefix[j] - prefix[i])
+        assert s <= value * 2**60 <= s + count
 
 
 def test_exact_sum_small_window(table_small):
