@@ -414,6 +414,10 @@ def _build_event(ns):
 
 def cmd_estimate(ns) -> int:
     event = _build_event(ns)
+    # the exact value comes first, so an over-bound window event is
+    # refused before any sampling
+    truth = (montecarlo.exact_event_proportion(ns.n, event, ns.group)
+             if ns.compare_exact else None)
     est = montecarlo.estimate_event(
         ns.n,
         event,
@@ -429,12 +433,7 @@ def cmd_estimate(ns) -> int:
         f"p_hat = {est.p_hat:.6f} +- {est.half_width:.6f} "
         f"(Wilson, level {est.level})",
     ]
-    if ns.compare_exact:
-        if ns.n > exact.ENUMERATION_BOUND:
-            raise ValueError(
-                f"--compare-exact needs n <= {exact.ENUMERATION_BOUND}"
-            )
-        truth = montecarlo.exact_event_proportion(ns.n, event, ns.group)
+    if truth is not None:
         payload["exact"] = truth
         payload["within_interval"] = (
             abs(est.p_hat - float(truth)) <= est.half_width

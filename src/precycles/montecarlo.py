@@ -1,31 +1,40 @@
 """Monte Carlo estimation of cycle-type event probabilities.
 
-The estimators draw uniform elements of S_n or A_n, look only at the
-cycle type, and never build Permutation objects on the hot path.
-Trials are partitioned into fixed-size blocks; block i gets the
-generator seeded by ``SeedSequence(seed, spawn_key=(i,))``, so a result
-depends only on (seed, trials, block_size).
+The estimators sample cycle types only, never permutations: the Feller
+coupling draws each cycle length uniformly from the points that remain,
+and A_n is sampled by rejecting the odd types.  A block of samples is
+held as parallel (rows, lengths) arrays with one entry per cycle, about
+log n entries per sample, so memory does not grow with n.  Each event
+has one definition, ``accepts(n, rows, lengths, count)``, a numpy
+predicate returning one bool per row.  Trials are partitioned into
+fixed-size blocks; block i gets the generator seeded by
+``SeedSequence(seed, spawn_key=(i,))``, so a result depends only on
+(seed, trials, block_size).
 
 Events deliberately mirror the exact module: each has an exact
-counterpart below the enumeration bound (see
-:func:`exact_event_proportion`), which is how the calibration tests
-close the loop.
+counterpart (see :func:`exact_event_proportion`), which is how the
+calibration tests close the loop.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
 from . import exact
 from .exact import ForbiddenSet, PrimeWindow
-from .perm import cycle_length_counts
 
 DEFAULT_LEVEL = 0.99
 DEFAULT_BLOCK_SIZE = 4096
+_NO_CYCLES = np.zeros(0, dtype=np.int64)
+
+
+def _tally(rows: np.ndarray, mask: np.ndarray, count: int) -> np.ndarray:
+    """Per-row number of cycles selected by ``mask``."""
+    return np.bincount(rows[mask], minlength=count)
 
 
 @dataclass(frozen=True)
@@ -35,20 +44,14 @@ class PreCycleInWindow:
 
     window: PrimeWindow
 
-    def predicate(self, n: int) -> Callable[[dict[int, int]], bool]:
+    def accepts(self, n: int, rows: np.ndarray, lengths: np.ndarray,
+                count: int) -> np.ndarray:
         exact._check_window(n, self.window)
-        primes = self.window.primes
-        multiples = {p: range(2 * p, n + 1, p) for p in primes}
-
-        def pred(counts: dict[int, int]) -> bool:
-            for p in primes:
-                if counts.get(p) == 1 and not any(
-                    counts.get(q) for q in multiples[p]
-                ):
-                    return True
-            return False
-
-        return pred
+        found = np.zeros(count, dtype=bool)
+        for p in self.window.primes:
+            found |= ((_tally(rows, lengths == p, count) == 1)
+                      & (_tally(rows, lengths % p == 0, count) == 1))
+        return found
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,13 @@ class Avoids:
 
     members: frozenset[int]
 
-    def predicate(self, n: int) -> Callable[[dict[int, int]], bool]:
+    def accepts(self, n: int, rows: np.ndarray, lengths: np.ndarray,
+                count: int) -> np.ndarray:
         members = sorted(self.members)
         for a in members:
             if not 1 <= a <= n:
                 raise ValueError(f"forbidden length {a} outside 1..{n}")
-
-        def pred(counts: dict[int, int]) -> bool:
-            return not any(a in counts for a in members)
-
-        return pred
+        return _tally(rows, np.isin(lengths, members), count) == 0
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,10 @@ class InT:
 
     window: PrimeWindow
 
-    def predicate(self, n: int) -> Callable[[dict[int, int]], bool]:
+    def accepts(self, n: int, rows: np.ndarray, lengths: np.ndarray,
+                count: int) -> np.ndarray:
         exact._check_window(n, self.window)
-        primes = self.window.primes
-
-        def pred(counts: dict[int, int]) -> bool:
-            return any(p in counts for p in primes)
-
-        return pred
+        return _tally(rows, np.isin(lengths, self.window.primes), count) > 0
 
 
 @dataclass(frozen=True)
@@ -92,27 +88,23 @@ class InU:
 
     window: PrimeWindow
 
-    def predicate(self, n: int) -> Callable[[dict[int, int]], bool]:
+    def accepts(self, n: int, rows: np.ndarray, lengths: np.ndarray,
+                count: int) -> np.ndarray:
         exact._check_window(n, self.window)
-        primes = self.window.primes
-        multiples = {p: range(2 * p, n + 1, p) for p in primes}
-
-        def pred(counts: dict[int, int]) -> bool:
-            for p in primes:
-                if p in counts:
-                    if counts[p] + sum(counts.get(q, 0) for q in multiples[p]) >= 2:
-                        return True
-            return False
-
-        return pred
+        found = np.zeros(count, dtype=bool)
+        for p in self.window.primes:
+            found |= ((_tally(rows, lengths == p, count) > 0)
+                      & (_tally(rows, lengths % p == 0, count) >= 2))
+        return found
 
 
 Event = Union[PreCycleInWindow, Avoids, InT, InU]
 
 
 def exact_event_proportion(n: int, event: Event, group: str = "sym"):
-    """Exact counterpart of an event, for degrees within the
-    enumeration bound."""
+    """Exact counterpart of an event.  The window events raise
+    :class:`~precycles.exact.EnumerationCapacityError` above the
+    enumeration bound; ``Avoids`` has no degree bound."""
     if isinstance(event, PreCycleInWindow):
         return exact.window_proportion(n, event.window, group)
     if isinstance(event, Avoids):
@@ -166,28 +158,63 @@ class Estimate:
         }
 
 
+def _feller_sample(
+    rng: np.random.Generator, n: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle types of ``count`` uniform elements of S_n, as parallel
+    (rows, lengths) arrays with one entry per cycle.
+
+    Feller coupling: the cycle through the least unplaced point of a
+    uniform permutation has length uniform on 1..remaining, and the
+    rest is uniform on what remains.  One draw per step covers every
+    row still unfinished, and a row has about log n cycles.
+    """
+    remaining = np.full(count, n, dtype=np.int64)
+    active = np.arange(count)
+    rows, lengths = [], []
+    while active.size:
+        drawn = rng.integers(1, remaining[active] + 1)
+        rows.append(active)
+        lengths.append(drawn)
+        remaining[active] -= drawn
+        active = active[remaining[active] > 0]
+    return np.concatenate(rows), np.concatenate(lengths)
+
+
+def _sample_cycle_types(
+    rng: np.random.Generator, n: int, group: str, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle types of ``count`` uniform elements of S_n or A_n.
+
+    For A_n, odd rows (n - #cycles odd) are rejected and the same
+    generator draws again until ``count`` even rows are kept; the kept
+    rows are uniform on A_n.  Half of all types are even, so each round
+    draws twice the rows still needed and keeps the first even ones.
+    """
+    if group == "sym":
+        return _feller_sample(rng, n, count)
+    rows_kept, lengths_kept = [], []
+    kept = 0
+    while kept < count:
+        need = count - kept
+        rows, lengths = _feller_sample(rng, n, 2 * need)
+        even = (n - np.bincount(rows, minlength=2 * need)) % 2 == 0
+        rank = np.cumsum(even)
+        keep = even & (rank <= need)
+        take = keep[rows]
+        rows_kept.append(kept + rank[rows[take]] - 1)
+        lengths_kept.append(lengths[take])
+        kept += int(np.count_nonzero(keep))
+    return np.concatenate(rows_kept), np.concatenate(lengths_kept)
+
+
 def _block_successes(
-    n: int,
-    group: str,
-    pred: Callable[[dict[int, int]], bool],
-    seed: int,
-    block_index: int,
-    count: int,
+    n: int, group: str, event: Event, seed: int, block_index: int, count: int
 ) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     rng = np.random.Generator(np.random.PCG64(ss))
-    mat = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-    alt = group == "alt"
-    successes = 0
-    for row in mat:
-        images = row.tolist()
-        counts = cycle_length_counts(images)
-        if alt and (n - sum(counts.values())) % 2:
-            images[0], images[1] = images[1], images[0]
-            counts = cycle_length_counts(images)
-        if pred(counts):
-            successes += 1
-    return successes
+    rows, lengths = _sample_cycle_types(rng, n, group, count)
+    return int(np.count_nonzero(event.accepts(n, rows, lengths, count)))
 
 
 def estimate_event(
@@ -213,9 +240,10 @@ def estimate_event(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    pred = event.predicate(n)
+    # an invalid event is refused before any sampling
+    event.accepts(n, _NO_CYCLES, _NO_CYCLES, 0)
     successes = sum(
-        _block_successes(n, group, pred, seed, i, min(block_size, trials - start))
+        _block_successes(n, group, event, seed, i, min(block_size, trials - start))
         for i, start in enumerate(range(0, trials, block_size))
     )
     return Estimate(

@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from precycles import bounds, cli, perm, recognize
+from precycles import bounds, cli, montecarlo, perm, recognize
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -129,6 +131,29 @@ def test_estimate_compare_exact(capsys):
     blob = json.loads(out)
     assert blob["exact"] == "1/4"
     assert blob["within_interval"] is True
+
+
+def test_estimate_compare_exact_avoids_has_no_degree_bound(capsys):
+    code, out, _ = run(
+        ["estimate", "--n", "200", "--event", "avoids", "--lengths", "1",
+         "--trials", "20000", "--seed", "3", "--compare-exact",
+         "--format", "json"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    # the derangement proportion of S_200 is 1/e to double precision
+    assert float(Fraction(blob["exact"])) == pytest.approx(math.exp(-1))
+
+
+def test_estimate_compare_exact_refuses_before_sampling(capsys, monkeypatch):
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before the exact check")
+
+    monkeypatch.setattr(montecarlo, "estimate_event", sample)
+    code, _, err = run(
+        ["estimate", "--n", "61", "--event", "window", "--window", "1", "40",
+         "--compare-exact"], capsys)
+    assert code == 2
+    assert "exceeds the exact enumeration bound 60" in err
 
 
 def test_estimate_missing_window(capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,22 +149,46 @@ def test_hit_repeat_sandwich(n, data):
         assert stats.hit - stats.repeat <= value <= stats.hit
 
 
+def _enumerated_sample(n, group):
+    """Every cycle type of degree n as one row of a (rows, lengths)
+    sample, with its class count in the group (0 for odd types in A_n)."""
+    rows, lengths, counts = [], [], []
+    nf = factorial(n)
+
+    def visit(parts, cent, num):
+        row = len(counts)
+        for k, m in parts:
+            rows.extend([row] * m)
+            lengths.extend([k] * m)
+        if group == "sym":
+            counts.append(nf // cent)
+        else:
+            counts.append(2 * (nf // cent) if (n - num) % 2 == 0 else 0)
+
+    exact.sweep_partitions(n, visit)
+    return np.array(rows), np.array(lengths), np.array(counts, dtype=object)
+
+
 @given(st.integers(min_value=2, max_value=24), st.data())
 def test_window_statistics_match_shared_event_predicates(n, data):
-    """Each window statistic equals the sweep total of the cycle types
-    that the Monte Carlo event accepts, so an event has one definition
-    for both layers."""
+    """Each exact statistic equals the total class proportion of the
+    enumerated cycle types that the Monte Carlo event's ``accepts``
+    keeps, so an event has one definition for both layers."""
     w = _window_slice(n, data)
+    forbidden = data.draw(st.frozensets(
+        st.integers(min_value=1, max_value=n), max_size=4))
     for group in ("sym", "alt"):
+        rows, lengths, counts = _enumerated_sample(n, group)
         stats = exact.window_hit_proportions(n, w, group)
         for event, value in (
             (montecarlo.PreCycleInWindow(w), exact.window_proportion(n, w, group)),
             (montecarlo.InT(w), stats.hit),
             (montecarlo.InU(w), stats.repeat),
+            (montecarlo.Avoids(forbidden),
+             exact.avoid_proportion(exact.ForbiddenSet(n, forbidden), group)),
         ):
-            pred = event.predicate(n)
-            swept = exact._sweep_proportion(
-                n, group, lambda parts: pred(dict(parts)))
+            kept = event.accepts(n, rows, lengths, len(counts))
+            swept = Fraction(int(counts[kept].sum()), factorial(n))
             assert value == swept, (event, group)
 
 

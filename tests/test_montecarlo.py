@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from precycles import exact, montecarlo
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_wilson_interval_frozen():
@@ -63,6 +70,69 @@ def test_estimate_deterministic():
     c = montecarlo.estimate_event(
         9, montecarlo.PreCycleInWindow(w), trials=30_000, seed=54321)
     assert c.p_hat != a.p_hat  # astronomically unlikely to collide
+
+
+def test_estimate_golden_stream():
+    # pins the sampling stream (Feller coupling, A_n rejection, block
+    # seeding and a partial last block): change these only on purpose
+    w = exact.prime_window(1, 5)
+    event = montecarlo.PreCycleInWindow(w)
+    kwargs = dict(trials=2500, seed=2026, block_size=1000)
+    assert montecarlo.estimate_event(9, event, "sym", **kwargs).p_hat == 0.4172
+    assert montecarlo.estimate_event(9, event, "alt", **kwargs).p_hat == 0.3252
+
+
+@pytest.mark.parametrize("group", ["sym", "alt"])
+def test_sampler_cycle_type_law(group):
+    """At n = 6 every cycle type appears at its exact class proportion,
+    within 4 Wilson half-widths at level 0.999; A_n never yields an odd
+    type."""
+    n, count = 6, 200_000
+    rng = np.random.Generator(np.random.PCG64(606))
+    rows, lengths = montecarlo._sample_cycle_types(rng, n, group, count)
+    assert rows.min() == 0 and rows.max() == count - 1
+    # a type is coded by its multiplicities in base n + 1
+    place = (n + 1) ** np.arange(n + 1)
+    tally = np.zeros((count, n + 1), dtype=np.int64)
+    np.add.at(tally, (rows, lengths), 1)
+    assert (tally @ np.arange(n + 1) == n).all()
+    seen = dict(zip(*np.unique(tally @ place, return_counts=True)))
+    classes = {}
+
+    def visit(parts, cent, num):
+        code = sum(m * int(place[k]) for k, m in parts)
+        if group == "sym":
+            classes[code] = Fraction(1, cent)
+        elif (n - num) % 2 == 0:
+            classes[code] = Fraction(2, cent)
+
+    exact.sweep_partitions(n, visit)
+    assert sum(classes.values()) == 1
+    assert set(seen) <= set(classes)  # for A_n: no odd type
+    for code, truth in classes.items():
+        hits = int(seen.get(code, 0))
+        half = montecarlo.wilson_half_width(hits, count, 0.999)
+        assert abs(hits / count - truth) <= 4 * half, (code, hits, truth)
+
+
+def test_million_degree_estimate_is_small_and_fast():
+    # a sample holds about log n entries per trial, never a row of n.
+    # The child reports VmHWM, its own peak RSS since exec: ru_maxrss
+    # would carry over the peak of the (large) test process that forked it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from precycles import montecarlo as mc; "
+         "e = mc.estimate_event(10**6, mc.Avoids(frozenset({1})), trials=4096); "
+         "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM')]; "
+         "print(e.p_hat, hwm[0].split()[1])"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    p_hat, peak_kb = proc.stdout.split()
+    assert abs(float(p_hat) - math.exp(-1)) < 0.03
+    assert int(peak_kb) < 100_000  # a dense n-wide block needs GBs
 
 
 def test_partial_last_block():

@@ -75,7 +75,7 @@ def test_exact_sum_small_window(table_small):
 
 
 def test_float_prefix_accuracy(table_large):
-    """The compensated prefix sums should track the exact rationals to
+    """The integer 2^-60 prefix sums should track the exact rationals to
     well below the verification margin even at the full sieve limit."""
     exact = primes.sum_recip_exact(table_large, 2, 1_000_000)
     approx = primes.sum_recip(table_large, 2, 1_000_000)
