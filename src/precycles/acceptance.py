@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact, montecarlo, primes, recognize
-from .perm import Permutation, cycle_type
+from .perm import Permutation
 
 
 @dataclass(frozen=True)

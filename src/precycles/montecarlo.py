@@ -234,8 +234,6 @@ def estimate_event(
     exact._check_group(group, n)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    if group == "alt" and n < 3:
-        raise ValueError("group='alt' sampling requires n >= 3")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if block_size < 1:

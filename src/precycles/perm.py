@@ -4,7 +4,10 @@ A permutation g of degree n "powers to a k-cycle" when some power g**e
 is a single k-cycle fixing everything else.  That holds exactly when g
 has one cycle of length k and every other cycle length is coprime to k;
 this module finds those target lengths and constructs the witness power
-in O(n) from the cycle decomposition.
+in O(n) from the cycle decomposition.  Each permutation derives its
+cycle type from one walk of its cycles and caches it, so sampling A_n
+(by rejecting odd draws), finding targets and extracting a witness share
+that walk.
 
 Points are 1-based everywhere in the public API, matching the two text
 notations: disjoint cycles ``(1,2,3)(4,5)`` and one-line images
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -29,24 +33,6 @@ def coerce_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def cycle_length_counts(images0: Sequence[int]) -> dict[int, int]:
-    """Map cycle length -> multiplicity for a 0-based image list."""
-    n = len(images0)
-    seen = bytearray(n)
-    counts: dict[int, int] = {}
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = 1
-            j = images0[j]
-            length += 1
-        counts[length] = counts.get(length, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -142,14 +128,30 @@ class Permutation:
             out.append(cyc)
         return out
 
+    @cached_property
+    def cycle_type(self) -> CycleType:
+        """The cycle type, from one walk of :meth:`cycles` per instance."""
+        return CycleType.from_counts(
+            self.degree, Counter(len(cyc) for cyc in self.cycles())
+        )
+
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
 def cycle_type(g: Permutation) -> CycleType:
-    counts = cycle_length_counts([v - 1 for v in g.images])
-    return CycleType.from_counts(g.degree, counts)
+    return g.cycle_type
+
+
+def check_sample_args(n: int, parity: str) -> None:
+    """The argument rule of :func:`sample_uniform`."""
+    if parity not in ("any", "even"):
+        raise ValueError(f"parity must be 'any' or 'even', got {parity!r}")
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
 
 
 def sample_uniform(
@@ -159,38 +161,39 @@ def sample_uniform(
 ) -> Permutation:
     """Uniform draw from S_n (parity="any") or A_n (parity="even").
 
-    Fisher-Yates via the generator's permutation method; for A_n an odd
-    draw has two fixed positions' images swapped, which maps the odd
-    coset bijectively onto A_n, so no rejection loop is needed.
+    Fisher-Yates via the generator's permutation method; for A_n, draws
+    are repeated until one is even (half of S_n for n >= 2, so two
+    draws on average).  The parity comes from the draw's cached cycle
+    type, so a caller that asks for the type again does not walk the
+    element twice.
     """
-    if parity not in ("any", "even"):
-        raise ValueError(f"parity must be 'any' or 'even', got {parity!r}")
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    if parity == "even" and n < 3:
-        raise ValueError("parity='even' requires n >= 3")
+    check_sample_args(n, parity)
     gen = coerce_rng(rng)
-    images0 = gen.permutation(n).tolist()
-    if parity == "even":
-        counts = cycle_length_counts(images0)
-        if (n - sum(counts.values())) % 2:
-            images0[0], images0[1] = images0[1], images0[0]
-    return Permutation(tuple(v + 1 for v in images0))
+    while True:
+        g = Permutation(tuple(v + 1 for v in gen.permutation(n).tolist()))
+        if parity == "any" or g.cycle_type.sign == 1:
+            return g
+
+
+def _not_target(t: CycleType, k: int) -> str | None:
+    """Why no power of a permutation of type t is a k-cycle, or None
+    when one is: k >= 2 must have multiplicity exactly 1 and every other
+    cycle length must be coprime to k."""
+    mult = t.multiplicity(k)
+    if k < 2 or mult == 0:
+        return f"no usable cycle of length {k} in type {t.parts}"
+    if mult > 1:
+        return f"{mult} cycles of length {k}; need exactly one"
+    for j, _ in t.parts:
+        d = math.gcd(j, k)
+        if j != k and d > 1:
+            return f"cycle length {j} shares factor {d} with {k}"
+    return None
 
 
 def pre_cycle_targets(t: CycleType) -> frozenset[int]:
-    """All k such that some power of a permutation of type t is a k-cycle.
-
-    These are the lengths k >= 2 of multiplicity exactly 1 with every
-    other cycle length coprime to k.
-    """
-    out = []
-    for k, mult in t.parts:
-        if k < 2 or mult != 1:
-            continue
-        if all(j == k or math.gcd(j, k) == 1 for j, _ in t.parts):
-            out.append(k)
-    return frozenset(out)
+    """All k such that some power of a permutation of type t is a k-cycle."""
+    return frozenset(k for k, _ in t.parts if _not_target(t, k) is None)
 
 
 def extract_cycle_power(g: Permutation, k: int) -> tuple[int, Permutation]:
@@ -201,25 +204,16 @@ def extract_cycle_power(g: Permutation, k: int) -> tuple[int, Permutation]:
     Raises ValueError naming the failed condition otherwise.
     """
     t = cycle_type(g)
-    mult = t.multiplicity(k)
-    if k < 2 or mult == 0:
-        raise ValueError(f"no usable cycle of length {k} in type {t.parts}")
-    if mult > 1:
-        raise ValueError(f"{mult} cycles of length {k}; need exactly one")
-    for j, _ in t.parts:
-        if j != k and math.gcd(j, k) > 1:
-            raise ValueError(
-                f"cycle length {j} shares factor {math.gcd(j, k)} with {k}"
-            )
+    reason = _not_target(t, k)
+    if reason is not None:
+        raise ValueError(reason)
     others = [j for j, _ in t.parts if j != k]
     ell = math.lcm(*others) if others else 1
     shift = ell % k
     images = list(range(1, g.degree + 1))
-    for cyc in g.cycles():
-        if len(cyc) == k:
-            for i, point in enumerate(cyc):
-                images[point - 1] = cyc[(i + shift) % k]
-            break
+    cyc = next(c for c in g.cycles() if len(c) == k)
+    for i, point in enumerate(cyc):
+        images[point - 1] = cyc[(i + shift) % k]
     return ell, Permutation(tuple(images))
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .bounds import sample_count
 from .perm import (
     Permutation,
+    check_sample_args,
     coerce_rng,
     cycle_type,
     extract_cycle_power,
@@ -60,11 +61,11 @@ class UniformSource(ElementSource):
         parity: str = "any",
         rng: np.random.Generator | int | None = None,
     ):
+        # Fail fast on bad parameters rather than on the first draw.
+        check_sample_args(n, parity)
         self.degree = n
         self.parity = parity
         self._rng = coerce_rng(rng)
-        # Fail fast on bad parameters rather than on the first draw.
-        sample_uniform(n, parity, np.random.default_rng(0))
 
     def draw(self) -> Permutation:
         return sample_uniform(self.degree, self.parity, self._rng)

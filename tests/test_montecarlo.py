@@ -190,10 +190,14 @@ def test_estimate_validation():
     with pytest.raises(ValueError):
         montecarlo.estimate_event(
             5, montecarlo.PreCycleInWindow(w), trials=0)
+    # A_1 is refused; A_2 is the identity alone, kept by parity rejection
     with pytest.raises(ValueError):
         montecarlo.estimate_event(
-            2, montecarlo.PreCycleInWindow(exact.prime_window(1, 2)),
-            group="alt", trials=10)
+            1, montecarlo.Avoids({2}), group="alt", trials=10)
+    assert montecarlo.estimate_event(
+        2, montecarlo.Avoids({2}), group="alt", trials=10).p_hat == 1.0
+    assert montecarlo.estimate_event(
+        2, montecarlo.Avoids({1}), group="alt", trials=10).p_hat == 0.0
     with pytest.raises(ValueError):
         montecarlo.estimate_event(
             5, montecarlo.PreCycleInWindow(w), trials=10, level=1.5)

@@ -112,24 +112,31 @@ def test_sample_uniform_derangement_rate():
 
 
 def test_sample_uniform_even_parity():
+    """Every class of A_4 at its share of the 12 elements."""
     rng = np.random.default_rng(88)
     m = 20_000
-    double = 0
+    seen = Counter()
     for _ in range(m):
-        g = perm.sample_uniform(4, "even", rng)
-        t = perm.cycle_type(g)
+        t = perm.cycle_type(perm.sample_uniform(4, "even", rng))
         assert t.sign == 1
-        if t.counts == {2: 2}:
-            double += 1
-    # A_4 has 3 double transpositions among 12 elements
-    p = 3 / 12
-    sigma = math.sqrt(p * (1 - p) / m)
-    assert abs(double / m - p) < 4 * sigma
+        seen[t.parts] += 1
+    shares = {((1, 4),): 1 / 12, ((1, 1), (3, 1)): 8 / 12, ((2, 2),): 3 / 12}
+    assert set(seen) == set(shares)
+    for parts, p in shares.items():
+        sigma = math.sqrt(p * (1 - p) / m)
+        assert abs(seen[parts] / m - p) < 4 * sigma, parts
 
 
-def test_sample_uniform_rejects_small_even():
-    with pytest.raises(ValueError):
-        perm.sample_uniform(2, "even", np.random.default_rng(0))
+def test_sample_uniform_small_even_is_identity():
+    rng = np.random.default_rng(0)
+    for n in (1, 2):
+        for _ in range(20):
+            assert perm.sample_uniform(n, "even", rng) == perm.identity(n)
+
+
+def test_cycle_type_is_cached():
+    g = perm.parse_cycles("(1,2,3)(4,5)", 7)
+    assert perm.cycle_type(g) is perm.cycle_type(g)
 
 
 def test_sample_uniform_type_distribution_chi_square():

@@ -81,6 +81,14 @@ def test_alt_source():
     out = recognize.run_recognizer(src, Fraction(1, 100))
     assert out.found
     assert perm.cycle_type(out.element).sign == 1
+    # pinned, so that a change to the A_n stream is deliberate
+    assert (out.draws_used, out.prime) == (1, 3)
+
+
+@pytest.mark.parametrize("n, parity", [(10, "odd"), (0, "any")])
+def test_uniform_source_refuses_bad_arguments(n, parity):
+    with pytest.raises(ValueError):
+        recognize.UniformSource(n, parity, 0)
 
 
 def test_degree_floor():
