@@ -25,11 +25,12 @@ def main() -> int:
         ap.error(f"need 5 <= lo <= hi <= {exact.ENUMERATION_BOUND}")
 
     table = primes.build_sieve(max(args.hi, 100))
+    floor_sum = primes.RecipSumWalk(table)
     rows = []
     for n in range(args.lo, args.hi + 1):
         rho_s = exact.pre_prime_cycle_proportion(n, "sym")
         rho_a = exact.pre_prime_cycle_proportion(n, "alt")
-        floor = primes.sum_recip_exact(table, n // 2, n - 3)
+        floor = floor_sum(n // 2, n - 3)
         if n >= 16:
             hb = bounds.headline_bounds(n, 1)
             simple, refined = hb.simple, hb.refined

@@ -21,7 +21,6 @@ The verifiers cover:
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .primes import (
     FIXED_BITS,
     FIXED_UNIT,
     PrimeTable,
+    RecipSumWalk,
     sum_recip,
     sum_recip_exact,
     sum_recip_sq,
@@ -542,8 +542,9 @@ class FloorSweep:
     escalations: int = 0
 
 
-# Exact sums cost about a second each near n = 10**6; ten covers the
-# nine degrees below 1/19 up to 720000.
+# Near n = 10**6 the first exact sum of a sweep costs about 0.8 s (a
+# fresh product tree and gcd); the others, carried from it, about a
+# millisecond each.  Ten covers the nine degrees below 1/19 up to 720000.
 FLOOR_EXACT_EXCEPTIONS = 10
 
 
@@ -561,7 +562,10 @@ def density_floor_sweep(
     the fixed-point sum over its count primes and T = 2**60 * threshold,
     S + count < T certifies a failure and S >= T a pass; only degrees in
     between get an exact rational sum, as do the reported exceptions.
-    ``escalations`` counts every exact sum computed.
+    The exact sums are carried from degree to degree in one ascending
+    :class:`~precycles.primes.RecipSumWalk`, so a sweep pays for one
+    fresh sum and a few primes per later degree.  ``escalations``
+    counts the degrees summed exactly.
     """
     if n_max < 5:
         raise ValueError(f"need n_max >= 5, got {n_max}")
@@ -574,14 +578,25 @@ def density_floor_sweep(
     lo_idx = table.pi_prefix[ns // 2]
     sums = table.s1_prefix[hi_idx] - table.s1_prefix[lo_idx]
     below = sums + (hi_idx - lo_idx) < target
-    exact_sum = functools.cache(lambda n: sum_recip_exact(table, n // 2, n - 3))
-    for i in np.flatnonzero(~below & (sums < target)).tolist():
-        below[i] = exact_sum(i + 5) < t
-    below_ns = np.flatnonzero(below) + 5
-    exceptions = tuple(
-        FloorRecord(n, float(sums[n - 5]) * FIXED_UNIT, exact_sum(n))
-        for n in below_ns[:FLOOR_EXACT_EXCEPTIONS].tolist()
-    )
+    undecided = ~below & (sums < target)
+    # One ascending walk over the degrees that need exact sums: each
+    # undecided degree, and the first FLOOR_EXACT_EXCEPTIONS failures,
+    # which lie among the undecided and the first that many certified.
+    floor_sum = RecipSumWalk(table)
+    exceptions = []
+    escalations = 0
+    candidates = np.union1d(np.flatnonzero(undecided),
+                            np.flatnonzero(below)[:FLOOR_EXACT_EXCEPTIONS])
+    for i in candidates.tolist():
+        if not undecided[i] and len(exceptions) == FLOOR_EXACT_EXCEPTIONS:
+            continue
+        n = i + 5
+        exact = floor_sum(n // 2, n - 3)
+        escalations += 1
+        if undecided[i]:
+            below[i] = exact < t
+        if below[i] and len(exceptions) < FLOOR_EXACT_EXCEPTIONS:
+            exceptions.append(FloorRecord(n, float(sums[i]) * FIXED_UNIT, exact))
     # Report the minimum over the asserted range n >= 11 (or the whole
     # sweep when it stops earlier).
     lo = min(11 - 5, len(sums) - 1)
@@ -589,12 +604,12 @@ def density_floor_sweep(
     return FloorSweep(
         n_max=n_max,
         threshold=threshold,
-        exceptions=exceptions,
-        below_count=len(below_ns),
+        exceptions=tuple(exceptions),
+        below_count=int(below.sum()),
         holds_from_11=not below[11 - 5 :].any(),
         min_value=float(sums[k]) * FIXED_UNIT,
         argmin_n=k + 5,
-        escalations=exact_sum.cache_info().currsize,
+        escalations=escalations,
     )
 
 

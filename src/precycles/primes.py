@@ -151,6 +151,45 @@ def sum_recip_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     return Fraction(num, den)
 
 
+class RecipSumWalk:
+    """Exact sums of 1/p over primes a < p <= b for a run of intervals,
+    each carried from the one before.
+
+    A call adds Fraction(1, p) for every prime that enters the previous
+    interval and subtracts it for every prime that leaves.  ``Fraction``
+    then takes a gcd only against the small p, and a sum of 1/p over
+    distinct primes stays in lowest terms, so a run of overlapping
+    intervals costs one product tree and one gcd in all.  When more
+    primes move than stay (disjoint intervals included), the sum is
+    taken afresh with :func:`sum_recip_exact`.  Every call returns the
+    exact sum, whatever the order of the intervals.
+    """
+
+    def __init__(self, table: PrimeTable) -> None:
+        self.table = table
+        self._ia = self._ib = 0
+        self._sum = Fraction(0)
+
+    def __call__(self, a: float, b: float) -> Fraction:
+        table = self.table
+        ia, ib = _interval_indices(a, b, table.limit)
+        pi = table.pi_prefix
+        stay = int(pi[min(ib, self._ib)]) - int(pi[max(ia, self._ia)])
+        moved = (abs(int(pi[ia]) - int(pi[self._ia]))
+                 + abs(int(pi[ib]) - int(pi[self._ib])))
+        if moved > max(stay, 0):
+            self._sum = sum_recip_exact(table, ia, ib)
+        else:
+            # Primes in (ia, old ia] enter at the low end and those in
+            # (old ib, ib] at the high end; reversed ranges leave.
+            for lo, hi in ((ia, self._ia), (self._ib, ib)):
+                sign = 1 if lo <= hi else -1
+                for p in table.primes_between(min(lo, hi), max(lo, hi)).tolist():
+                    self._sum += Fraction(sign, p)
+        self._ia, self._ib = ia, ib
+        return self._sum
+
+
 def sum_recip_sq_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     """Exact rational sum of 1/p**2 over primes a < p <= b."""
     ps = table.primes_between(a, b).tolist()

@@ -169,6 +169,34 @@ def test_floor_sweep_ties_and_cap(table_small):
         assert rec.exact == primes.sum_recip_exact(table_small, rec.n // 2, rec.n - 3)
 
 
+def test_floor_sweep_carries_exact_sums(table_large, monkeypatch):
+    # the six reported degrees past 719534 share one product tree: the
+    # first is summed afresh, the rest are carried from it
+    real = primes._balanced_recip_sum
+    depth, trees = 0, []
+
+    def counting(vals):
+        nonlocal depth
+        if depth == 0 and len(vals) > 1000:
+            trees.append(len(vals))
+        depth += 1
+        try:
+            return real(vals)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(primes, "_balanced_recip_sum", counting)
+    sweep = bounds.density_floor_sweep(table_large, 720_000)
+    assert [rec.n for rec in sweep.exceptions] == \
+        [5, 6, 7, 719534, 719535, 719566, 719567, 719568, 719569]
+    assert sweep.escalations == 9
+    assert len(trees) <= 1
+    last = sweep.exceptions[-1].exact
+    fresh = primes.sum_recip_exact(table_large, 719569 // 2, 719569 - 3)
+    assert (last.numerator, last.denominator) == \
+        (fresh.numerator, fresh.denominator)
+
+
 def test_floor_record_json(table_small):
     sweep = bounds.density_floor_sweep(table_small, 10)
     d = sweep.exceptions[0].to_json_dict()

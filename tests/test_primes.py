@@ -74,6 +74,43 @@ def test_exact_sum_small_window(table_small):
     assert primes.sum_recip_exact(table_small, 13, 13) == 0
 
 
+@st.composite
+def _interval_runs(draw):
+    """A list of intervals (a, b] within [0, 10_000], ascending by
+    midpoint: repeats, empty intervals, disjoint jumps, and steps that
+    grow or shrink either end."""
+    a = draw(st.integers(0, 2000))
+    b = a + draw(st.integers(0, 300))
+    run = [(a, b)]
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["repeat", "empty", "jump", "step"]))
+        if kind == "empty":
+            a = b = min(a + draw(st.integers(0, 40)), 10_000)
+        elif kind == "jump":
+            a = min(b + draw(st.integers(1, 3000)), 10_000)
+            b = min(a + draw(st.integers(0, 300)), 10_000)
+        elif kind == "step":
+            da = draw(st.integers(-40, 40))
+            db = draw(st.integers(-da, 80 - da))
+            a = min(max(a + da, 0), 10_000)
+            b = min(max(b + db, a), 10_000)
+        run.append((a, b))
+    return sorted(run, key=lambda iv: iv[0] + iv[1])
+
+
+@given(_interval_runs())
+def test_recip_sum_walk_matches_fresh_sums(table_small, run):
+    # ascending, as the floor sweep walks, and descending: every call
+    # must give the fresh sum field by field
+    for order in (run, run[::-1]):
+        walk = primes.RecipSumWalk(table_small)
+        for a, b in order:
+            got = walk(a, b)
+            want = primes.sum_recip_exact(table_small, a, b)
+            assert (got.numerator, got.denominator) == \
+                (want.numerator, want.denominator), (a, b)
+
+
 def test_float_prefix_accuracy(table_large):
     """The integer 2^-60 prefix sums should track the exact rationals to
     well below the verification margin even at the full sieve limit."""
