@@ -16,8 +16,11 @@ The verifiers cover:
 * harmonic-number control 0 < H_n - log n - gamma < 1/(2n),
 * the density floor sum_{n/2 < p <= n-3} 1/p >= 1/19 swept over n, and
 * the closed-form lower bounds for the pre-p-cycle proportion, both the
-  window form and the two headline shapes, all of which go negative at
-  desk-scale n (they only bite for astronomically large degrees).
+  window form and the two headline shapes.  The window form and the
+  simple headline 1 - c/loglog n are negative at every degree that can
+  be enumerated or sampled.  The refined headline is not: for S_n
+  (delta = 1) it is 0.016 at e**12, where it is first asserted, and
+  0.31 at 10**9.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .primes import (
     FIXED_UNIT,
     PrimeTable,
     RecipSumWalk,
+    decimal_str,
     sum_recip,
     sum_recip_exact,
     sum_recip_sq,
@@ -298,6 +302,15 @@ def _escalate_recip(table: PrimeTable, a: float, b: float, lower: bool) -> bool:
     return _certified_less(lambda: _to_mpf(exact), lambda: closed(False)) is True
 
 
+def _step_ends(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
+    """lo, hi, and p - 1 and p for every prime lo < p <= hi, ascending
+    and without repeats: both ends of every step of [lo, hi] on which
+    the prime prefix sums are constant."""
+    ps = table.primes_between(lo, hi)
+    xs = np.concatenate(([lo], np.stack((ps - 1, ps), axis=1).ravel(), [hi]))
+    return xs[np.diff(xs, prepend=lo - 1) > 0]
+
+
 def _suffix_extreme(values: np.ndarray, use_max: bool) -> np.ndarray:
     rev = values[::-1]
     acc = np.maximum.accumulate(rev) if use_max else np.minimum.accumulate(rev)
@@ -310,22 +323,25 @@ def verify_recip_sq_upper_all(
     """Check the square-sum upper bound for every pair a <= b in range.
 
     Rearranged so one suffix-max pass covers all (b_hi - a_lo + 1)
-    choose-2 pairs: s2[b] + 1.61/(b log b) must never exceed
-    s2[a] + 2.22/(a log a) for b >= a.
+    choose-2 pairs: f(b) = s2[b] + 1.61/(b log b) must never exceed
+    g(a) = s2[a] + 2.22/(a log a) for b >= a.  On a step of constant s2
+    both f and g decrease, so the suffix max of f is reached at a step
+    start or at a itself, and the margin g(a) - max_{b >= a} f(b), a
+    minimum of two decreasing functions of a, is least at a step end.
+    Only the step ends are evaluated.
     """
     b_hi = table.limit if b_hi is None else b_hi
     if not 12 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 12 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
-    xs = np.arange(a_lo, b_hi + 1)
-    logs = np.log(xs)
-    s2 = (table.s2_prefix * FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
-    f = s2 + 1.61 / (xs * logs)
-    g = s2 + 2.22 / (xs * logs)
-    margins = g - _suffix_extreme(f, use_max=True)
+    xs = _step_ends(table, a_lo, b_hi)
+    xlogx = xs * np.log(xs)
+    s2 = table.s2_prefix[table.pi_prefix[xs]] * FIXED_UNIT
+    f = s2 + 1.61 / xlogx
+    margins = s2 + 2.22 / xlogx - _suffix_extreme(f, use_max=True)
     return _finish_pair_sweep(
-        table, "recip_sq_upper_all", xs, margins,
+        "recip_sq_upper_all", xs, margins, b_hi - a_lo + 1,
         lambda a, b: check_recip_sq_upper(table, a, b),
-        lambda a: int(xs[np.argmax(f[a - a_lo :]) + (a - a_lo)]),
+        lambda i: int(xs[i + np.argmax(f[i:])]),
     )
 
 
@@ -335,30 +351,39 @@ def verify_recip_bounds_all(
     """Check the two-sided reciprocal-sum bracket for every pair a <= b.
 
     Same suffix-extremum rearrangement as the square-sum sweep, one
-    pass per side.
+    pass per side, over the same step ends.  On a step of constant s1,
+    plus = s1 - loglog x + 1/(2 log**2 x) always decreases, and
+    minus = s1 - loglog x - 1/log**2 x decreases for log**2 x > 2, that
+    is for x >= 5.  Lower side: the suffix min of plus is reached at a
+    step end and is constant along a step, so its margin
+    min_{b >= a} plus(b) - minus(a) grows along the step and is least
+    at a step start.  Upper side: the margin
+    plus(a) - max_{b >= a} minus(b) is least at a step end, as in the
+    square-sum sweep.  Below 5, where minus need not decrease, every
+    point (2, 3 and 4) is a step end.
     """
     b_hi = table.limit if b_hi is None else b_hi
     if not 2 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 2 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
-    xs = np.arange(a_lo, b_hi + 1)
-    loglogs = np.log(np.log(xs))
-    inv2 = 1.0 / np.log(xs) ** 2
-    s1 = (table.s1_prefix * FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
+    xs = _step_ends(table, a_lo, b_hi)
+    logs = np.log(xs)
+    loglogs = np.log(logs)
+    inv2 = 1.0 / logs**2
+    s1 = table.s1_prefix[table.pi_prefix[xs]] * FIXED_UNIT
     # lower side: s1[b] - (loglog b - inv2[b]/2) > s1[a] - (loglog a + inv2[a])
     # upper side: s1[b] - (loglog b + inv2[b]) < s1[a] - (loglog a - inv2[a]/2)
     plus = s1 - loglogs + 0.5 * inv2
     minus = s1 - loglogs - inv2
-    low_margins = _suffix_extreme(plus, use_max=False) - minus
-    hi_margins = plus - _suffix_extreme(minus, use_max=True)
+    n_vals = b_hi - a_lo + 1
     low = _finish_pair_sweep(
-        table, "recip_lower_all", xs, low_margins,
+        "recip_lower_all", xs, _suffix_extreme(plus, use_max=False) - minus, n_vals,
         lambda a, b: check_recip_bounds(table, a, b)[0],
-        lambda a: int(xs[np.argmin(plus[a - a_lo :]) + (a - a_lo)]),
+        lambda i: int(xs[i + np.argmin(plus[i:])]),
     )
     high = _finish_pair_sweep(
-        table, "recip_upper_all", xs, hi_margins,
+        "recip_upper_all", xs, plus - _suffix_extreme(minus, use_max=True), n_vals,
         lambda a, b: check_recip_bounds(table, a, b)[1],
-        lambda a: int(xs[np.argmax(minus[a - a_lo :]) + (a - a_lo)]),
+        lambda i: int(xs[i + np.argmax(minus[i:])]),
     )
     return SweepReport(
         name="recip_bounds_all",
@@ -371,24 +396,25 @@ def verify_recip_bounds_all(
 
 
 def _finish_pair_sweep(
-    table: PrimeTable,
     name: str,
     xs: np.ndarray,
     margins: np.ndarray,
+    n_vals: int,
     recheck: Callable[[int, int], BoundReport],
     witness_b: Callable[[int], int],
 ) -> SweepReport:
-    """Common tail: escalate near-margin a values via their witness b."""
-    near = [int(xs[i]) for i in np.flatnonzero(margins <= MARGIN).tolist()]
-    reports = [recheck(a, witness_b(a)) for a in near]
+    """Common tail: escalate near-margin a values via their witness b,
+    found from the position of a in xs; count all pairs over n_vals
+    values."""
+    near = np.flatnonzero(margins <= MARGIN).tolist()
+    reports = [recheck(int(xs[i]), witness_b(i)) for i in near]
     k = int(np.argmin(margins))
-    n_vals = len(xs)
     return SweepReport(
         name=name,
         checked=n_vals * (n_vals + 1) // 2,
         failures=tuple(r for r in reports if not r.holds),
         min_margin=float(margins[k]),
-        argmin={"a": int(xs[k]), "b": witness_b(int(xs[k]))},
+        argmin={"a": int(xs[k]), "b": witness_b(k)},
         escalations=len(near),
     )
 
@@ -400,14 +426,12 @@ def verify_pi_bounds_range(
 
     pi is constant from one prime to the next and both bounds increase
     for x >= 11, so each margin is least at an end of such a step; only
-    lo, hi, and p - 1 and p for primes lo < p <= hi are evaluated.
+    the step ends are evaluated.
     """
     hi = table.limit if hi is None else hi
     if not 11 <= lo <= hi <= table.limit:
         raise ValueError(f"need 11 <= lo <= hi <= limit, got {lo}, {hi}")
-    ps = table.primes_between(lo, hi)
-    xs = np.concatenate(([lo], np.stack((ps - 1, ps), axis=1).ravel(), [hi]))
-    xs = xs[np.diff(xs, prepend=lo - 1) > 0]
+    xs = _step_ends(table, lo, hi)
     logs = np.log(xs)
     base = xs / logs
     pis = table.pi_prefix[xs].astype(float)
@@ -434,24 +458,55 @@ def verify_pi_bounds_range(
 # ---------------------------------------------------------------------------
 # Harmonic-number control.
 
-# Certified float error for the compensated harmonic sweep: Kahan error
-# is at most 2*eps*H_n ~ 3.2e-15 at n = 1e6, plus one ulp for log n and
-# the rounding of gamma.  8e-15 covers all of it with headroom; the
-# tightest true margin in range is 1/(12 n**2) ~ 8.3e-14.
+# H_n is the integer prefix S_n of floor(2**90 / i), kept as two limbs:
+# floor(2**58 / i) and floor((2**58 mod i) * 2**32 / i).  Each term loses
+# less than one unit, so 2**90 H_n lies in [S_n, S_n + n].  The sweep runs
+# in blocks of _HARMONIC_BLOCK degrees and carries both integer totals
+# across them, so memory stays bounded; every product fits in int64 for
+# n < 2**31 and every total while H_n < 32.
+_HARMONIC_BLOCK = 1 << 16
+
+# Certified float error for the gap H_n - log n - gamma: rounding the
+# prefix to a float costs half an ulp of H_n (plus below 2**-80 for the
+# float tail), the truncation n * 2**-90, log n one ulp, and gamma half
+# an ulp of 0.577.  The two subtractions are exact (Sterbenz: H_n,
+# log n + gamma and the gap's pieces lie within a factor 2 of each
+# other for n >= 3), and so is 1/(2n) - gap.  With H_n and log n below
+# 32 that is at most 2**-49 + 2**-48 + 2**-54 + 2**31 * 2**-90 ~ 5.4e-15;
+# 8e-15 covers it.  The tightest true margin in range is
+# 1/(12 n**2) ~ 8.3e-14 at n = 1e6.
 _HARMONIC_BUDGET = 8e-15
 
 
+def _harmonic_blocks(n_max: int):
+    """Yield (ns, hs) for consecutive blocks of degrees 1 <= n <= n_max,
+    with hs[k] the float H_{ns[k]} from the fixed-point prefix."""
+    if not 1 <= n_max < 2**31:
+        raise ValueError(f"need 1 <= n < 2**31, got {n_max}")
+    one = np.int64(1 << 58)
+    carry_hi = carry_lo = 0
+    for start in range(1, n_max + 1, _HARMONIC_BLOCK):
+        ns = np.arange(start, min(start + _HARMONIC_BLOCK, n_max + 1), dtype=np.int64)
+        hi, rem = np.divmod(one, ns)
+        lo = (rem << 32) // ns
+        np.cumsum(hi, out=hi)
+        np.cumsum(lo, out=lo)
+        hi += carry_hi
+        lo += carry_lo
+        carry_hi, carry_lo = int(hi[-1]), int(lo[-1])
+        # hi + lo / 2**32 rounded once: the float of hi plus a tail that
+        # holds what that float dropped and the low limb.
+        hi_f = hi.astype(float)
+        tail = (hi - hi_f.astype(np.int64)).astype(float) + lo.astype(float) * 2.0**-32
+        yield ns, (hi_f + tail) * 2.0**-58
+
+
 def harmonic_number(n: int) -> float:
-    """H_n by compensated summation."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    total = comp = 0.0
-    for i in range(1, n + 1):
-        y = 1.0 / i - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
+    """H_n from the fixed-point prefix, within half an ulp plus
+    n * 2**-90."""
+    for _, hs in _harmonic_blocks(n):
+        pass
+    return float(hs[-1])
 
 
 def harmonic_gap(n: int) -> float:
@@ -466,39 +521,35 @@ def _harmonic_gap_holds_mp(n: int) -> bool:
 
 
 def verify_harmonic_gap(n_max: int) -> SweepReport:
-    """Check 0 < H_n - log n - gamma < 1/(2n) for all 1 <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    logs = np.log(np.arange(1, n_max + 1, dtype=float))
+    """Check 0 < H_n - log n - gamma < 1/(2n) for all 1 <= n <= n_max.
+
+    Margins above _HARMONIC_BUDGET hold in floats; the rest are decided
+    at 40 digits.
+    """
     gamma = float(Fraction(EULER_MASCHERONI))
-    total = comp = 0.0
     failures = []
     escalations = 0
     min_margin = math.inf
     argmin = 0
-    for n in range(1, n_max + 1):
-        y = 1.0 / n - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        gap = total - logs[n - 1] - gamma
-        margin = min(gap, 0.5 / n - gap)
-        if margin < min_margin:
-            min_margin = margin
-            argmin = n
-        if margin <= _HARMONIC_BUDGET:
+    for ns, hs in _harmonic_blocks(n_max):
+        gaps = hs - np.log(ns) - gamma
+        caps = 0.5 / ns
+        margins = np.minimum(gaps, caps - gaps)
+        k = int(np.argmin(margins))
+        if margins[k] < min_margin:
+            min_margin, argmin = float(margins[k]), int(ns[k])
+        for i in np.flatnonzero(margins <= _HARMONIC_BUDGET).tolist():
             escalations += 1
+            n = int(ns[i])
             if not _harmonic_gap_holds_mp(n):
-                failures.append(
-                    BoundReport(
-                        "harmonic_gap", {"n": n}, gap, 0.5 / n, False, margin
-                    )
-                )
+                failures.append(BoundReport(
+                    "harmonic_gap", {"n": n}, float(gaps[i]), float(caps[i]),
+                    False, float(margins[i])))
     return SweepReport(
         name="harmonic_gap",
         checked=n_max,
         failures=tuple(failures),
-        min_margin=float(min_margin),
+        min_margin=min_margin,
         argmin={"n": argmin},
         escalations=escalations,
     )
@@ -520,7 +571,8 @@ class FloorRecord:
         return {
             "n": self.n,
             "value": self.value,
-            "exact": f"{self.exact.numerator}/{self.exact.denominator}",
+            "exact": f"{decimal_str(self.exact.numerator)}/"
+                     f"{decimal_str(self.exact.denominator)}",
         }
 
 
@@ -652,7 +704,9 @@ class HeadlineBounds:
     ``simple`` is 1 - c/loglog n; ``refined`` is
     1 - (4.58 delta + 0.17) loglog n / log(n - 3).  Both are asserted
     to hold only for n >= ASSERTED_FROM; below that they are evaluated
-    anyway (and are far below zero at desk scale).
+    anyway.  ``simple`` is below zero at every degree that can be
+    sampled; ``refined`` with delta = 1 is 0.016 at e**12 and 0.31 at
+    10**9.
     """
 
     n: int

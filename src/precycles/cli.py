@@ -40,7 +40,7 @@ def rational(text: str) -> Fraction:
 
 
 def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{primes.decimal_str(q.numerator)}/{primes.decimal_str(q.denominator)}"
 
 
 def _jsonable(x):
@@ -255,7 +255,7 @@ def cmd_verify_r2(ns) -> int:
         f"{sweep.below_count} below, {sweep.escalations} escalations",
     ]
     # Written out once: near n = 10**6 each exact sum has a 518,000-bit
-    # numerator and denominator, about 0.5 s per int-to-decimal conversion.
+    # numerator and denominator, about 0.05 s per decimal conversion.
     exceptions = [r.to_json_dict() for r in sweep.exceptions]
     for rec in exceptions:
         lines.append(

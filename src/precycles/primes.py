@@ -71,10 +71,14 @@ def build_sieve(limit: int) -> PrimeTable:
             sieve[p * p :: p] = False
     primes = np.flatnonzero(sieve).astype(np.int64)
     one = np.int64(1 << FIXED_BITS)
+    # Summed in place: cumsum(sieve, dtype=int64) would hold a second
+    # int64 copy of the whole range while it runs.
+    pi_prefix = sieve.astype(np.int64)
+    np.cumsum(pi_prefix, out=pi_prefix)
     return PrimeTable(
         limit=limit,
         is_prime=sieve,
-        pi_prefix=np.cumsum(sieve, dtype=np.int64),
+        pi_prefix=pi_prefix,
         s1_prefix=np.concatenate(([0], np.cumsum(one // primes))),
         s2_prefix=np.concatenate(([0], np.cumsum(one // (primes * primes)))),
     )
@@ -129,26 +133,43 @@ def sum_recip_sq(table: PrimeTable, a: float, b: float) -> float:
     return _fixed_sum(table, table.s2_prefix, a, b) * FIXED_UNIT
 
 
-def _balanced_recip_sum(vals: list[int]) -> tuple[int, int]:
-    """Exact sum of 1/v over vals as an unreduced (num, den) pair.
+# Below this many terms an exact sum is one int product tree; above it
+# the halves are added as Fractions.
+_TREE_LEAF = 64
 
-    Divide-and-conquer product tree; no per-step gcd, so summing tens of
-    thousands of terms stays fast even though the denominator is huge.
-    """
+
+def _recip_tree(vals: list[int]) -> tuple[int, int]:
+    """Exact sum of 1/v over vals as an unreduced (num, den) pair, by a
+    divide-and-conquer product tree with no per-step gcd."""
     if not vals:
         return 0, 1
     if len(vals) == 1:
         return 1, vals[0]
     mid = len(vals) // 2
-    n1, d1 = _balanced_recip_sum(vals[:mid])
-    n2, d2 = _balanced_recip_sum(vals[mid:])
+    n1, d1 = _recip_tree(vals[:mid])
+    n2, d2 = _recip_tree(vals[mid:])
     return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _balanced_recip_sum(vals: list[int]) -> Fraction:
+    """Exact sum of 1/v over vals, in lowest terms.
+
+    Short runs are one product tree; longer ones add their two halves as
+    Fractions.  When vals are pairwise coprime (primes, or their
+    squares) so are the halves' denominators: ``Fraction`` then takes
+    gcds of half-size numbers only, never the full-size gcd of the
+    final numerator and denominator, which a sum over coprime vals does
+    not need.
+    """
+    if len(vals) <= _TREE_LEAF:
+        return Fraction(*_recip_tree(vals))
+    mid = len(vals) // 2
+    return _balanced_recip_sum(vals[:mid]) + _balanced_recip_sum(vals[mid:])
 
 
 def sum_recip_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     """Exact rational sum of 1/p over primes a < p <= b."""
-    num, den = _balanced_recip_sum(table.primes_between(a, b).tolist())
-    return Fraction(num, den)
+    return _balanced_recip_sum(table.primes_between(a, b).tolist())
 
 
 class RecipSumWalk:
@@ -193,8 +214,56 @@ class RecipSumWalk:
 def sum_recip_sq_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     """Exact rational sum of 1/p**2 over primes a < p <= b."""
     ps = table.primes_between(a, b).tolist()
-    num, den = _balanced_recip_sum([p * p for p in ps])
-    return Fraction(num, den)
+    return _balanced_recip_sum([p * p for p in ps])
+
+
+# Ints up to this many bits go straight to str(): about 2,500 digits,
+# below the interpreter's default 4,300-digit cap on int-to-str.
+_DECIMAL_STR_BITS = 1 << 13
+
+
+def decimal_str(n: int) -> str:
+    """str(n), by divide and conquer for big ints.
+
+    CPython's int-to-decimal conversion is quadratic.  Here n is split
+    in binary halves, hi * 2**w + lo, each half is converted to a
+    ``decimal.Decimal`` and the halves are joined with the cached
+    Decimal power 2**w, all exact at ``MAX_PREC``: libmpdec multiplies
+    big Decimals in subquadratic time.  The same scheme as CPython
+    3.12's ``_pylong.int_to_decimal``.  A Decimal prints without the
+    interpreter's cap on int-to-str digits.
+    """
+    if n.bit_length() <= _DECIMAL_STR_BITS:
+        return str(n)
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= 128:
+                powers[w] = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                powers[w] = powers[w - 1] * 2
+            else:
+                half = w >> 1
+                powers[w] = pow2(half) * pow2(w - half)
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= 128:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def verify_pi_bounds(table: PrimeTable, x: int) -> bool:

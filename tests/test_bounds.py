@@ -116,6 +116,74 @@ def test_pi_bounds_range_matches_every_x():
         assert rep.checked == hi - lo + 1
 
 
+def _every_pair_report(name, xs, margins, recheck, witness_b):
+    # reference tail: every integer a, each with its witness b
+    near = [int(a) for a in xs[margins <= bounds.MARGIN]]
+    reports = [recheck(a, witness_b(a)) for a in near]
+    k = int(np.argmin(margins))
+    return bounds.SweepReport(
+        name=name,
+        checked=len(xs) * (len(xs) + 1) // 2,
+        failures=tuple(r for r in reports if not r.holds),
+        min_margin=float(margins[k]),
+        argmin={"a": int(xs[k]), "b": witness_b(int(xs[k]))},
+        escalations=len(near),
+    )
+
+
+def _sq_every_pair(table, a_lo, b_hi):
+    xs = np.arange(a_lo, b_hi + 1)
+    logs = np.log(xs)
+    s2 = (table.s2_prefix * primes.FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
+    f = s2 + 1.61 / (xs * logs)
+    g = s2 + 2.22 / (xs * logs)
+    margins = g - np.maximum.accumulate(f[::-1])[::-1]
+    return _every_pair_report(
+        "recip_sq_upper_all", xs, margins,
+        lambda a, b: bounds.check_recip_sq_upper(table, a, b),
+        lambda a: int(xs[np.argmax(f[a - a_lo :]) + (a - a_lo)]))
+
+
+def _recip_every_pair(table, a_lo, b_hi):
+    xs = np.arange(a_lo, b_hi + 1)
+    loglogs = np.log(np.log(xs))
+    inv2 = 1.0 / np.log(xs) ** 2
+    s1 = (table.s1_prefix * primes.FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
+    plus = s1 - loglogs + 0.5 * inv2
+    minus = s1 - loglogs - inv2
+    low = _every_pair_report(
+        "recip_lower_all", xs,
+        np.minimum.accumulate(plus[::-1])[::-1] - minus,
+        lambda a, b: bounds.check_recip_bounds(table, a, b)[0],
+        lambda a: int(xs[np.argmin(plus[a - a_lo :]) + (a - a_lo)]))
+    high = _every_pair_report(
+        "recip_upper_all", xs,
+        plus - np.maximum.accumulate(minus[::-1])[::-1],
+        lambda a, b: bounds.check_recip_bounds(table, a, b)[1],
+        lambda a: int(xs[np.argmax(minus[a - a_lo :]) + (a - a_lo)]))
+    return bounds.SweepReport(
+        name="recip_bounds_all",
+        checked=low.checked + high.checked,
+        failures=low.failures + high.failures,
+        min_margin=min(low.min_margin, high.min_margin),
+        argmin=low.argmin if low.min_margin <= high.min_margin else high.argmin,
+        escalations=low.escalations + high.escalations,
+    )
+
+
+def test_pair_sweeps_match_every_pair():
+    # the grids evaluate step ends only; compare with every integer a
+    lim = 100_000
+    table = primes.build_sieve(lim)
+    for lo, hi in ((12, lim), (2, lim), (2, 2), (2, 3), (3, 4), (12, 12),
+                   (13, 17), (1000, 1013), (99_990, lim)):
+        if lo >= 12:
+            assert bounds.verify_recip_sq_upper_all(table, lo, hi) == \
+                _sq_every_pair(table, lo, hi), (lo, hi)
+        assert bounds.verify_recip_bounds_all(table, lo, hi) == \
+            _recip_every_pair(table, lo, hi), (lo, hi)
+
+
 def test_report_shapes(table_small):
     rep = bounds.check_recip_sq_upper(table_small, 12, 40)
     d = rep.to_json_dict()
@@ -130,6 +198,36 @@ def test_harmonic_gap():
     rep = bounds.verify_harmonic_gap(20_000)
     assert rep.holds
     assert rep.checked == 20_000
+
+
+def test_harmonic_number_within_derived_bound():
+    # half an ulp plus the truncation n * 2**-90, on both sides of the
+    # block boundaries and at random degrees in between
+    block = bounds._HARMONIC_BLOCK
+    n_max = 2 * block + 1
+    hs = np.concatenate([h for _, h in bounds._harmonic_blocks(n_max)])
+    edges = [1, 2, block - 1, block, block + 1, 2 * block, n_max]
+    rng = np.random.default_rng(11)
+    for n in edges + rng.integers(1, n_max + 1, 400).tolist():
+        h = float(hs[n - 1])
+        with mp.workdps(40):
+            err = abs(mp.mpf(h) - mp.harmonic(n))
+        assert err <= math.ulp(h) / 2 + n * 2.0**-90, n
+    for n in edges:
+        assert bounds.harmonic_number(n) == hs[n - 1]
+    with pytest.raises(ValueError):
+        bounds.harmonic_number(0)
+    with pytest.raises(ValueError):
+        bounds.verify_harmonic_gap(2**31)
+
+
+def test_harmonic_blocks_carry_exactly(monkeypatch):
+    # integer totals carried across blocks: the same report as one block
+    n_max = 3 * bounds._HARMONIC_BLOCK + 123
+    blocks = bounds.verify_harmonic_gap(n_max)
+    monkeypatch.setattr(bounds, "_HARMONIC_BLOCK", n_max)
+    assert bounds.verify_harmonic_gap(n_max) == blocks
+    assert blocks.holds and blocks.checked == n_max
 
 
 def test_floor_sweep_small(table_small):

@@ -137,3 +137,25 @@ def test_is_prime_trial():
 def test_build_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         primes.build_sieve(1)
+
+
+def test_decimal_str_matches_str():
+    import random
+    import sys
+
+    # str() itself needs the interpreter's digit cap lifted for big ints
+    old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    rng = random.Random(20261018)
+    try:
+        cases = [0, 1, (1 << 8192) - 1, 1 << 8192, 10**5000]
+        cases += [rng.getrandbits(rng.randrange(0, 600_001)) for _ in range(6)]
+        cases += [rng.getrandbits(bits) for bits in (129, 8193, 600_000)]
+        for n in cases:
+            text = str(n)
+            assert primes.decimal_str(n) == text
+            assert primes.decimal_str(-n) == ("-" + text if n else "0")
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
