@@ -2,12 +2,14 @@
 
 Every function here returns plain ``fractions.Fraction`` values (always
 checked to lie in [0, 1] when they are proportions).  The production
-route is a coefficient recurrence for cycle-length avoidance,
-integerized as N_m = m! * q_m so the hot loop is pure bigint
-arithmetic.  The window statistics are sums of recurrence terms over
-window-prime subsets S with sum(S) <= n: by the exponential formula,
-one p-cycle for each p in S next to m = n - sum(S) points that avoid a
-set of lengths has proportion (prod_{p in S} 1/p) * q_m.
+route is a coefficient recurrence for cycle-length avoidance, kept on
+one fixed scale A_m = n! * q_m so every term is an integer and each
+step costs one subtraction per forbidden length: O(n * |forbidden|)
+bigint additions per call.  The window statistics are sums of
+recurrence terms over window-prime subsets S with sum(S) <= n: by the
+exponential formula, one p-cycle for each p in S next to
+m = n - sum(S) points that avoid a set of lengths has proportion
+(prod_{p in S} 1/p) * q_m.
 
 A partition sweep that enumerates cycle types directly, with an
 incrementally maintained centralizer order, is kept only as an
@@ -28,17 +30,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .perm import CycleType
-from .primes import PrimeTable, is_prime_trial
+from .primes import PrimeTable, build_sieve, is_prime_trial
 
 # Largest degree the window functions accept.  The prime-subset sums
 # reach further (n = 100 takes under a second); the bound stays at
 # the old partition sweep's reach until a benchmark sets a new one.
 ENUMERATION_BOUND = 60
-
-# Windows with at most this many primes get a primality re-check on
-# construction; larger ones are trusted to their generating sieve.
-_WINDOW_CHECK_LIMIT = 1000
 
 
 class EnumerationCapacityError(ValueError):
@@ -93,7 +93,7 @@ class PrimeWindow:
 
     ``primes`` must be exactly the primes of the interval, ascending;
     the factories below build complete windows, and construction
-    re-checks primality for windows of moderate size.
+    re-checks the primality of every member.
     """
 
     lo: float
@@ -110,10 +110,18 @@ class PrimeWindow:
             if not self.lo < p <= self.hi:
                 raise ValueError(f"prime {p} outside ({self.lo}, {self.hi}]")
             prev = p
-        if len(self.primes) <= _WINDOW_CHECK_LIMIT:
-            for p in self.primes:
-                if not is_prime_trial(p):
-                    raise ValueError(f"window member {p} is not prime")
+        if not self.primes:
+            return
+        # Sieve the span [lo, hi] of the members by the primes up to
+        # sqrt(hi): memory follows the window's width, not its height.
+        lo, hi = self.primes[0], self.primes[-1]
+        composite = np.zeros(hi - lo + 1, dtype=bool)
+        composite[: max(0, 2 - lo)] = True  # 1 is not prime
+        for q in np.flatnonzero(build_sieve(max(2, math.isqrt(hi))).is_prime).tolist():
+            composite[max(q * q, -(-lo // q) * q) - lo :: q] = True
+        bad = np.flatnonzero(composite[np.array(self.primes) - lo])
+        if bad.size:
+            raise ValueError(f"window member {self.primes[bad[0]]} is not prime")
 
 
 def prime_window(lo: float, hi: float, table: PrimeTable | None = None) -> PrimeWindow:
@@ -207,44 +215,32 @@ def _sweep_proportion(
 # Cycle-length avoidance.
 
 
-def _avoidance_counts(
-    n: int, allowed: list[bool], signed: bool
-) -> tuple[int, int | None]:
-    """N_n = n! q_n (and the signed companion) for length avoidance.
+def _avoidance_counts(n: int, forbidden: frozenset[int], signed: bool) -> int:
+    """A_n = n! q_n for length avoidance, or its signed companion.
 
-    q_n is the S_n proportion with no cycle length j having
-    allowed[j] == False.  Differentiating the exponential generating
-    function gives m q_m = sum_{j<=m, allowed} q_{m-j}; here everything
-    is scaled by m! so the loop stays in integers.  The signed variant
-    carries an extra (-1)**(j-1) per term and yields
-    N~_n = n! * sum_over_even_classes 1/C - n! * sum_over_odd_classes 1/C.
+    q_m is the S_m proportion with no cycle length in ``forbidden``.
+    Differentiating the exponential generating function gives
+    m q_m = sum_{j<=m, j allowed} q_{m-j}.  On the fixed scale
+    A_m = n! q_m every term is an integer, so each step takes one
+    running sum of the earlier A_i, subtracts A_{m-j} for each
+    forbidden j <= m and divides exactly by m: O(n * |forbidden|)
+    integer additions per call.  The signed variant carries an extra
+    (-1)**(j-1) per term, so its running sum alternates, and yields
+    n! * sum_over_even_classes 1/C - n! * sum_over_odd_classes 1/C.
     """
-    cols = [1]  # cols[k] = N_k * (m-1)!/k! for the current m
-    scols = [1] if signed else None
-    n_m = 1
-    s_m: int | None = 1 if signed else None
-    allowed_j = [j for j in range(1, n + 1) if allowed[j]]
+    sign = -1 if signed else 1
+    lengths = sorted(forbidden)
+    a = [math.factorial(n)]
+    run = 0
     for m in range(1, n + 1):
-        total = 0
-        for j in allowed_j:
+        run = a[-1] + sign * run  # sum_{i<m} sign**(m-1-i) * a[i]
+        total = run
+        for j in lengths:
             if j > m:
                 break
-            total += cols[m - j]
-        n_m = total
-        if signed:
-            stotal = 0
-            for j in allowed_j:
-                if j > m:
-                    break
-                stotal += scols[m - j] if j % 2 else -scols[m - j]
-            s_m = stotal
-        if m < n:
-            cols = [c * m for c in cols]
-            cols.append(n_m)
-            if signed:
-                scols = [c * m for c in scols]
-                scols.append(s_m)
-    return n_m, s_m
+            total -= a[m - j] if j % 2 or not signed else -a[m - j]
+        a.append(total // m)
+    return a[n]
 
 
 def avoid_proportion(fs: ForbiddenSet, group: str = "sym") -> Fraction:
@@ -253,15 +249,9 @@ def avoid_proportion(fs: ForbiddenSet, group: str = "sym") -> Fraction:
     For A_n this is q_n + q~_n: even classes counted at twice their S_n
     weight via the signed companion recurrence.
     """
-    n = fs.n
-    _check_group(group, n)
-    allowed = [j not in fs.members for j in range(n + 1)]
-    nf = math.factorial(n)
-    if group == "sym":
-        count, _ = _avoidance_counts(n, allowed, signed=False)
-        return _check_unit_interval(Fraction(count, nf))
-    count, signed_count = _avoidance_counts(n, allowed, signed=True)
-    return _check_unit_interval(Fraction(count + signed_count, nf))
+    _check_group(group, fs.n)
+    count = _Avoiders(group).count(fs.n, fs.members)
+    return _check_unit_interval(Fraction(count, math.factorial(fs.n)))
 
 
 def avoid_proportion_by_sweep(fs: ForbiddenSet, group: str = "sym") -> Fraction:
@@ -355,25 +345,28 @@ def _prime_subsets(
 class _Avoiders:
     """Avoidance class counts for one call, memoised on (m, forbidden).
 
-    ``count(m, forbidden, sign)`` is m! times the proportion of S_m with
-    no cycle length in ``forbidden`` (lengths above m are ignored, so
-    they do not split the memo); for A_n the signed companion enters
-    with ``sign``, the parity of the cycles placed outside the m points.
-    A term ``ways * count(...)`` summed over prime subsets and divided
-    by n! is then a group proportion.
+    ``count(m, forbidden, sign)`` is A_m on the scale m!: m! times the
+    proportion of S_m with no cycle length in ``forbidden`` (lengths
+    above m are ignored, so they do not split the memo).  For A_n the
+    signed companion, on the same scale, enters with ``sign``, the
+    parity of the cycles placed outside the m points.  A term
+    ``ways * count(...)`` summed over prime subsets and divided by n!
+    is then a group proportion.
     """
 
     def __init__(self, group: str):
         self.signed = group == "alt"
-        self.memo: dict[tuple[int, frozenset[int]], tuple[int, int | None]] = {}
+        self.memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
 
     def count(self, m: int, forbidden: Iterable[int], sign: int = 1) -> int:
         key = (m, frozenset(a for a in forbidden if a <= m))
         if key not in self.memo:
-            allowed = [j not in key[1] for j in range(m + 1)]
-            self.memo[key] = _avoidance_counts(m, allowed, self.signed)
+            self.memo[key] = (
+                _avoidance_counts(*key, False),
+                _avoidance_counts(*key, True) if self.signed else 0,
+            )
         total, signed_total = self.memo[key]
-        return total + sign * signed_total if self.signed else total
+        return total + sign * signed_total
 
 
 def _multiples(chosen: tuple[int, ...], m: int) -> set[int]:

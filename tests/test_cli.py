@@ -238,6 +238,23 @@ def test_verify_r2_million_is_decided_without_runaway():
     assert ns[3] == 719_534
 
 
+def test_avoid_alt_5000_is_decided_without_runaway():
+    # 5000 steps on one fixed scale, one subtraction per forbidden length
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from precycles.cli import main; "
+         "sys.exit(main(sys.argv[1:]))",
+         "avoid", "--n", "5000", "--lengths", "1", "--group", "alt",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(proc.stdout)
+    assert blob["certified"] is True
+
+
 def test_removed_options_are_usage_errors(capsys):
     for argv in (
         ["verify-primes", "--sieve-cache", "x"],

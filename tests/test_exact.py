@@ -93,6 +93,20 @@ def test_recurrence_matches_partition_sweep(n, data):
             exact.avoid_proportion_by_sweep(fs, group)
 
 
+def test_derangements_in_both_groups_beyond_the_sweep():
+    # D_n = (n-1)(D_{n-1} + D_{n-2}); even minus odd derangements of n
+    # points is (-1)**(n-1) * (n-1), so A_n's derangement proportion is
+    # (D_n + (-1)**(n-1) * (n-1)) / n!
+    n = 400
+    d_prev, d = 1, 0  # D_0, D_1
+    for k in range(2, n + 1):
+        d_prev, d = d, (k - 1) * (d + d_prev)
+    fs = exact.ForbiddenSet(n, {1})
+    assert exact.avoid_proportion(fs, "sym") == Fraction(d, factorial(n))
+    assert exact.avoid_proportion(fs, "alt") == \
+        Fraction(d + (-1) ** (n - 1) * (n - 1), factorial(n))
+
+
 @given(st.integers(min_value=2, max_value=25), st.data())
 def test_alt_proportion_within_double(n, data):
     members = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
@@ -121,6 +135,14 @@ def test_prime_window_validation():
         exact.PrimeWindow(2, 11, (3, 4, 5))
     with pytest.raises(ValueError):
         exact.PrimeWindow(2, 11, (3, 13))
+    with pytest.raises(ValueError, match="member 1 "):
+        exact.PrimeWindow(0, 11, (1, 2, 3))
+    # every member is checked, however many primes the window holds
+    ps = list(exact.prime_window(1, 10**4).primes)
+    assert len(ps) == 1229
+    ps[ps.index(3581)] = 3573  # 3**2 * 397
+    with pytest.raises(ValueError, match="member 3573 "):
+        exact.PrimeWindow(1, 10**4, tuple(ps))
 
 
 def test_prime_window_with_table(table_small):
