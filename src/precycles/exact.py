@@ -30,10 +30,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .perm import CycleType
-from .primes import PrimeTable, build_sieve, is_prime_trial
+from .primes import PrimeTable, is_prime_trial
 
 # Largest degree the window functions accept.  The prime-subset sums
 # reach further (n = 100 takes under a second); the bound stays at
@@ -110,18 +108,9 @@ class PrimeWindow:
             if not self.lo < p <= self.hi:
                 raise ValueError(f"prime {p} outside ({self.lo}, {self.hi}]")
             prev = p
-        if not self.primes:
-            return
-        # Sieve the span [lo, hi] of the members by the primes up to
-        # sqrt(hi): memory follows the window's width, not its height.
-        lo, hi = self.primes[0], self.primes[-1]
-        composite = np.zeros(hi - lo + 1, dtype=bool)
-        composite[: max(0, 2 - lo)] = True  # 1 is not prime
-        for q in np.flatnonzero(build_sieve(max(2, math.isqrt(hi))).is_prime).tolist():
-            composite[max(q * q, -(-lo // q) * q) - lo :: q] = True
-        bad = np.flatnonzero(composite[np.array(self.primes) - lo])
-        if bad.size:
-            raise ValueError(f"window member {self.primes[bad[0]]} is not prime")
+        for p in self.primes:
+            if not is_prime_trial(p):
+                raise ValueError(f"window member {p} is not prime")
 
 
 def prime_window(lo: float, hi: float, table: PrimeTable | None = None) -> PrimeWindow:
