@@ -17,6 +17,7 @@ from .bounds import (
     prime_sum_bounds,
     sample_count,
     verify_harmonic_gap,
+    verify_pi_bounds,
     verify_pi_bounds_range,
     verify_recip_bounds_all,
     verify_recip_sq_upper_all,
@@ -70,7 +71,6 @@ from .primes import (
     sum_recip_exact,
     sum_recip_sq,
     sum_recip_sq_exact,
-    verify_pi_bounds,
 )
 from .recognize import (
     ElementSource,

@@ -1,12 +1,15 @@
 """Closed-form bounds, inequality verifiers, and certified sweeps.
 
-Comparisons against closed forms are float-first: one that lands within
-``MARGIN`` (1e-9) of its boundary is re-run with exact rational prime
-sums and 50-to-200-digit arithmetic.  The density floor against a
-rational threshold is decided in integers, from the fixed-point bracket
-of :mod:`precycles.primes`.  Decimal constants are stored to 30
-significant digits and bracketed, so each inequality can pick the
-rounding direction that makes its own check conservative.
+Each closed form is written once, as terms at one endpoint, for floats,
+numpy and mpmath alike.  A float margin beyond its error budget
+(``MARGIN``, 1e-9) decides a verdict by its sign; a narrower one is
+decided by the exact side (a rational prime sum, pi(x) or H_n) against
+the same closed form at 50, then 200 digits, where a pair still
+inseparable fails a strict inequality and holds a non-strict one.  The
+density floor against a rational threshold is decided in integers, from
+the fixed-point bracket of :mod:`precycles.primes`.  Decimal constants
+are stored to 30 significant digits and bracketed, so each inequality
+can pick the rounding direction that makes its own check conservative.
 
 The verifiers cover:
 
@@ -25,7 +28,7 @@ The verifiers cover:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -42,7 +45,6 @@ from .primes import (
     sum_recip_exact,
     sum_recip_sq,
     sum_recip_sq_exact,
-    verify_pi_bounds,
 )
 
 # Float comparisons closer to the boundary than this are escalated.
@@ -78,18 +80,64 @@ def _to_mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x)
 
 
-def _certified_less(lhs: Callable[[], mpmath.mpf], rhs: Callable[[], mpmath.mpf]):
-    """True/False when lhs() < rhs() is decidable at 50 or 200 digits,
-    None when the two sides stay inseparable."""
+def _certified_less(sides: Callable[[], tuple], strict: bool) -> bool:
+    """Whether lhs < rhs (strict) or lhs <= rhs, for (lhs, rhs) =
+    sides(), exact or evaluated afresh at 50, then 200 digits.  A pair
+    closer than the separation margin at both fails a strict bound and
+    holds a non-strict one."""
     for dps in (50, 200):
         with mpmath.workdps(dps):
-            a, b = lhs(), rhs()
+            a, b = map(_to_mpf, sides())
             sep = mpmath.mpf(10) ** (8 - dps) * (1 + abs(a) + abs(b))
-            if b - a > sep:
-                return True
-            if a - b > sep:
-                return False
-    return None
+            if abs(b - a) > sep:
+                return b > a
+    return not strict
+
+
+def _report(name: str, inputs: dict, lhs: float, rhs: float, strict: bool,
+            sides: Callable[[], tuple]) -> BoundReport:
+    """lhs < rhs (strict) or lhs <= rhs, from floats: the sign of the
+    margin rhs - lhs beyond MARGIN, :func:`_certified_less` within it."""
+    margin = rhs - lhs
+    holds = margin > 0 if abs(margin) > MARGIN else _certified_less(sides, strict)
+    return BoundReport(name, inputs, lhs, rhs, holds, margin)
+
+
+# ---------------------------------------------------------------------------
+# The closed forms as terms at one endpoint x.  ``log`` and ``num`` (a
+# constructor for decimal constants) are math.log and float for scalars,
+# np.log and float for sweeps, and mpmath.log and mpmath.mpf to escalate,
+# so mpmath reads "2.22" itself, never the float 2.22, which is larger.
+
+_MP = (mpmath.log, mpmath.mpf)
+
+
+def _pi_terms(x, log, num):
+    """x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)) for x >= 11."""
+    lx = log(x)
+    base = x / lx
+    return base, base * (1 + num("1.5") / lx)
+
+
+def _sq_terms(x, log, num):
+    """(2.22, 1.61)/(x log x): sum 1/p**2 over (a, b] is at most the
+    first at floor(a) minus the second at floor(b), for a >= 12."""
+    xlogx = x * log(x)
+    return num("2.22") / xlogx, num("1.61") / xlogx
+
+
+def _recip_terms(x, log, num):
+    """ll = loglog x, half = 1/(2 log**2 x), inv2 = 1/log**2 x.  For
+    2 <= a <= b, sum 1/p over (a, b] lies strictly between
+    ll(b) - ll(a) - half(b) - inv2(a) and ll(b) - ll(a) + inv2(b) + half(a)."""
+    lx = log(x)
+    inv2 = 1 / lx**2
+    return log(lx), num("0.5") * inv2, inv2
+
+
+def _harmonic_terms(h, n, gamma, log, num):
+    """0 < h - log n - gamma < 1/(2n) for h = H_n, n >= 1."""
+    return h - log(n) - gamma, num("0.5") / n
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +156,7 @@ class BoundReport:
     margin: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "margin": self.margin,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -153,7 +194,7 @@ def avoidance_bounds(mu) -> AvoidanceBounds:
     if m < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
     inv = math.inf if m == 0 else 1.0 / m
-    gamma = float(Fraction(EULER_MASCHERONI))
+    gamma = float(EULER_MASCHERONI)
     return AvoidanceBounds(inv, math.exp(1.0 - m), math.exp(gamma - m))
 
 
@@ -166,17 +207,13 @@ def certify_avoidance_bound(q: Fraction, mu, factor: int = 1) -> bool:
     """
     glo, ghi = gamma_bounds()
     mu_f = mu if isinstance(mu, Fraction) else Fraction(mu)
-    against_lo = _certified_less(
-        lambda: _to_mpf(q),
-        lambda: factor * mpmath.exp(_to_mpf(glo) - _to_mpf(mu_f)),
-    )
-    if against_lo:
+
+    def bound(g):
+        return factor * mpmath.exp(_to_mpf(g) - _to_mpf(mu_f))
+
+    if _certified_less(lambda: (q, bound(glo)), strict=True):
         return True
-    against_hi = _certified_less(
-        lambda: _to_mpf(q),
-        lambda: factor * mpmath.exp(_to_mpf(ghi) - _to_mpf(mu_f)),
-    )
-    if against_hi is False:
+    if _certified_less(lambda: (bound(ghi), q), strict=True):
         return False
     raise ArithmeticError(
         f"q = {q} is inseparable from {factor}*e**(gamma - {mu}) at 200 digits"
@@ -194,11 +231,9 @@ def verify_gamma_dominance(mu) -> bool:
     mu_f = mu if isinstance(mu, Fraction) else Fraction(mu)
     if mu_f < 1:
         return True
-    res = _certified_less(
-        lambda: mpmath.exp(_to_mpf(ghi) - _to_mpf(mu_f)),
-        lambda: mpmath.mpf(2) / (3 * _to_mpf(mu_f)),
-    )
-    return bool(res)
+    return _certified_less(lambda: (
+        mpmath.exp(_to_mpf(ghi) - _to_mpf(mu_f)), 2 / (3 * _to_mpf(mu_f))
+    ), strict=True)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +257,22 @@ class PrimeSumBounds:
 
 
 def prime_sum_bounds(a: float, b: float) -> PrimeSumBounds:
+    return _prime_sum_bounds(a, b, math.log, float)
+
+
+def _prime_sum_bounds(a, b, log, num) -> PrimeSumBounds:
+    """The closed forms over (a, b] from their endpoint terms, in the
+    arithmetic of ``log`` and ``num``."""
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    sq = None
+    sq = lo = hi = None
     if a >= 12:
-        fa, fb = math.floor(a), math.floor(b)
-        sq = 2.22 / (fa * math.log(fa)) - 1.61 / (fb * math.log(fb))
-    lo = hi = None
+        sq = _sq_terms(math.floor(a), log, num)[0] - _sq_terms(math.floor(b), log, num)[1]
     if a >= 2:
-        la, lb = math.log(a), math.log(b)
-        core = math.log(lb / la)
-        lo = core - 0.5 / (lb * lb) - 1.0 / (la * la)
-        hi = core + 1.0 / (lb * lb) + 0.5 / (la * la)
+        ll_a, half_a, inv2_a = _recip_terms(a, log, num)
+        ll_b, half_b, inv2_b = _recip_terms(b, log, num)
+        lo = ll_b - ll_a - half_b - inv2_a
+        hi = ll_b - ll_a + inv2_b + half_a
     return PrimeSumBounds(float(a), float(b), sq, lo, hi)
 
 
@@ -241,14 +280,11 @@ def check_recip_sq_upper(table: PrimeTable, a: float, b: float) -> BoundReport:
     """sum 1/p**2 over (a, b] against its closed-form upper bound."""
     if a < 12:
         raise ValueError(f"the square-sum bound needs a >= 12, got a={a}")
-    lhs = sum_recip_sq(table, a, b)
-    rhs = prime_sum_bounds(a, b).recip_sq_upper
-    margin = rhs - lhs
-    holds = margin >= 0
-    if abs(margin) <= MARGIN:
-        holds = _escalate_sq(table, a, b)
-    return BoundReport(
-        "recip_sq_upper", {"a": a, "b": b}, lhs, rhs, holds, margin
+    return _report(
+        "recip_sq_upper", {"a": a, "b": b}, sum_recip_sq(table, a, b),
+        prime_sum_bounds(a, b).recip_sq_upper, strict=False, sides=lambda: (
+            sum_recip_sq_exact(table, a, b),
+            _prime_sum_bounds(a, b, *_MP).recip_sq_upper),
     )
 
 
@@ -260,46 +296,14 @@ def check_recip_bounds(
         raise ValueError(f"the reciprocal-sum bracket needs a >= 2, got a={a}")
     s = sum_recip(table, a, b)
     pb = prime_sum_bounds(a, b)
-    lo_margin = s - pb.recip_lower
-    hi_margin = pb.recip_upper - s
-    lo_holds = lo_margin > 0
-    hi_holds = hi_margin > 0
-    if abs(lo_margin) <= MARGIN:
-        lo_holds = _escalate_recip(table, a, b, lower=True)
-    if abs(hi_margin) <= MARGIN:
-        hi_holds = _escalate_recip(table, a, b, lower=False)
     return (
-        BoundReport("recip_lower", {"a": a, "b": b}, pb.recip_lower, s, lo_holds, lo_margin),
-        BoundReport("recip_upper", {"a": a, "b": b}, s, pb.recip_upper, hi_holds, hi_margin),
+        _report("recip_lower", {"a": a, "b": b}, pb.recip_lower, s, strict=True,
+                sides=lambda: (_prime_sum_bounds(a, b, *_MP).recip_lower,
+                               sum_recip_exact(table, a, b))),
+        _report("recip_upper", {"a": a, "b": b}, s, pb.recip_upper, strict=True,
+                sides=lambda: (sum_recip_exact(table, a, b),
+                               _prime_sum_bounds(a, b, *_MP).recip_upper)),
     )
-
-
-def _escalate_sq(table: PrimeTable, a: float, b: float) -> bool:
-    exact = sum_recip_sq_exact(table, a, b)
-    fa, fb = math.floor(a), math.floor(b)
-    res = _certified_less(
-        lambda: _to_mpf(exact),
-        lambda: mpmath.mpf("2.22") / (fa * mpmath.log(fa))
-        - mpmath.mpf("1.61") / (fb * mpmath.log(fb)),
-    )
-    # The bound is non-strict; inseparable-from-equal counts as holding
-    # only if a 200-digit evaluation refused to call it False.
-    return res is not False
-
-
-def _escalate_recip(table: PrimeTable, a: float, b: float, lower: bool) -> bool:
-    exact = sum_recip_exact(table, a, b)
-
-    def closed(sign_lo: bool):
-        la, lb = mpmath.log(a), mpmath.log(b)
-        core = mpmath.log(lb / la)
-        if sign_lo:
-            return core - 1 / (2 * lb * lb) - 1 / (la * la)
-        return core + 1 / (lb * lb) + 1 / (2 * la * la)
-
-    if lower:
-        return _certified_less(lambda: closed(True), lambda: _to_mpf(exact)) is True
-    return _certified_less(lambda: _to_mpf(exact), lambda: closed(False)) is True
 
 
 def _step_ends(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
@@ -334,14 +338,16 @@ def verify_recip_sq_upper_all(
     if not 12 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 12 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
     xs = _step_ends(table, a_lo, b_hi)
-    xlogx = xs * np.log(xs)
+    g, f = _sq_terms(xs, np.log, float)
     s2 = table.s2_prefix[table.pi_prefix[xs]] * FIXED_UNIT
-    f = s2 + 1.61 / xlogx
-    margins = s2 + 2.22 / xlogx - _suffix_extreme(f, use_max=True)
-    return _finish_pair_sweep(
-        "recip_sq_upper_all", xs, margins, b_hi - a_lo + 1,
+    f += s2
+    g += s2
+    n_vals = b_hi - a_lo + 1
+    return _finish_sweep(
+        "recip_sq_upper_all", g - _suffix_extreme(f, use_max=True), MARGIN,
+        n_vals * (n_vals + 1) // 2,
+        lambda i: {"a": int(xs[i]), "b": int(xs[i + np.argmax(f[i:])])},
         lambda a, b: check_recip_sq_upper(table, a, b),
-        lambda i: int(xs[i + np.argmax(f[i:])]),
     )
 
 
@@ -366,57 +372,78 @@ def verify_recip_bounds_all(
     if not 2 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 2 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
     xs = _step_ends(table, a_lo, b_hi)
-    logs = np.log(xs)
-    loglogs = np.log(logs)
-    inv2 = 1.0 / logs**2
+    loglogs, halves, inv2 = _recip_terms(xs, np.log, float)
     s1 = table.s1_prefix[table.pi_prefix[xs]] * FIXED_UNIT
-    # lower side: s1[b] - (loglog b - inv2[b]/2) > s1[a] - (loglog a + inv2[a])
-    # upper side: s1[b] - (loglog b + inv2[b]) < s1[a] - (loglog a - inv2[a]/2)
-    plus = s1 - loglogs + 0.5 * inv2
+    plus = s1 - loglogs + halves
     minus = s1 - loglogs - inv2
     n_vals = b_hi - a_lo + 1
-    low = _finish_pair_sweep(
-        "recip_lower_all", xs, _suffix_extreme(plus, use_max=False) - minus, n_vals,
+    checked = n_vals * (n_vals + 1) // 2
+    low = _finish_sweep(
+        "recip_lower_all", _suffix_extreme(plus, use_max=False) - minus, MARGIN,
+        checked, lambda i: {"a": int(xs[i]), "b": int(xs[i + np.argmin(plus[i:])])},
         lambda a, b: check_recip_bounds(table, a, b)[0],
-        lambda i: int(xs[i + np.argmin(plus[i:])]),
     )
-    high = _finish_pair_sweep(
-        "recip_upper_all", xs, plus - _suffix_extreme(minus, use_max=True), n_vals,
+    high = _finish_sweep(
+        "recip_upper_all", plus - _suffix_extreme(minus, use_max=True), MARGIN,
+        checked, lambda i: {"a": int(xs[i]), "b": int(xs[i + np.argmax(minus[i:])])},
         lambda a, b: check_recip_bounds(table, a, b)[1],
-        lambda i: int(xs[i + np.argmax(minus[i:])]),
     )
-    return SweepReport(
-        name="recip_bounds_all",
-        checked=low.checked + high.checked,
-        failures=low.failures + high.failures,
-        min_margin=min(low.min_margin, high.min_margin),
-        argmin=low.argmin if low.min_margin <= high.min_margin else high.argmin,
-        escalations=low.escalations + high.escalations,
-    )
+    return _merged("recip_bounds_all", [low, high])
 
 
-def _finish_pair_sweep(
-    name: str,
-    xs: np.ndarray,
-    margins: np.ndarray,
-    n_vals: int,
-    recheck: Callable[[int, int], BoundReport],
-    witness_b: Callable[[int], int],
-) -> SweepReport:
-    """Common tail: escalate near-margin a values via their witness b,
-    found from the position of a in xs; count all pairs over n_vals
-    values."""
-    near = np.flatnonzero(margins <= MARGIN).tolist()
-    reports = [recheck(int(xs[i]), witness_b(i)) for i in near]
+def _finish_sweep(name: str, margins: np.ndarray, budget: float, checked: int,
+                  point: Callable[[int], dict], recheck: Callable) -> SweepReport:
+    """Common tail of every float sweep: each position i whose margin is
+    within ``budget`` is rechecked at ``point(i)`` by the scalar check
+    of the same inequality; the least margin is reported at its point."""
+    near = np.flatnonzero(margins <= budget).tolist()
+    reports = [recheck(**point(i)) for i in near]
     k = int(np.argmin(margins))
     return SweepReport(
         name=name,
-        checked=n_vals * (n_vals + 1) // 2,
+        checked=checked,
         failures=tuple(r for r in reports if not r.holds),
         min_margin=float(margins[k]),
-        argmin={"a": int(xs[k]), "b": witness_b(k)},
+        argmin=point(k),
         escalations=len(near),
     )
+
+
+def _merged(name: str, parts: list[SweepReport]) -> SweepReport:
+    """One report over ``parts``, at the first least margin among them."""
+    least = min(parts, key=lambda r: r.min_margin)
+    return SweepReport(
+        name=name,
+        checked=sum(r.checked for r in parts),
+        failures=sum((r.failures for r in parts), ()),
+        min_margin=least.min_margin,
+        argmin=least.argmin,
+        escalations=sum(r.escalations for r in parts),
+    )
+
+
+def _check_pi_bounds(table: PrimeTable, x: int) -> BoundReport:
+    """The prime-counting bounds at x, reported on a failing side if
+    there is one, else on the tighter side."""
+    if x < 11:
+        raise ValueError(f"prime-count bounds require x >= 11, got {x}")
+    if x > table.limit:
+        raise ValueError(f"x={x} exceeds sieve limit {table.limit}")
+    pi_x = int(table.pi_prefix[x])
+    lo, hi = _pi_terms(x, math.log, float)
+    reports = (
+        _report("pi_lower", {"x": x}, lo, float(pi_x), strict=False,
+                sides=lambda: (_pi_terms(x, *_MP)[0], pi_x)),
+        _report("pi_upper", {"x": x}, float(pi_x), hi, strict=False,
+                sides=lambda: (pi_x, _pi_terms(x, *_MP)[1])),
+    )
+    return min(reports, key=lambda r: (r.holds, r.margin))
+
+
+def verify_pi_bounds(table: PrimeTable, x: int) -> bool:
+    """Check x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)) at an
+    integer 11 <= x <= table.limit; other x raise ValueError."""
+    return _check_pi_bounds(table, x).holds
 
 
 def verify_pi_bounds_range(
@@ -432,26 +459,12 @@ def verify_pi_bounds_range(
     if not 11 <= lo <= hi <= table.limit:
         raise ValueError(f"need 11 <= lo <= hi <= limit, got {lo}, {hi}")
     xs = _step_ends(table, lo, hi)
-    logs = np.log(xs)
-    base = xs / logs
+    lower, upper = _pi_terms(xs, np.log, float)
     pis = table.pi_prefix[xs].astype(float)
-    low_margin = pis - base
-    high_margin = base * (1.0 + 1.5 / logs) - pis
-    margins = np.minimum(low_margin, high_margin)
-    near = np.flatnonzero(margins <= MARGIN).tolist()
-    failures = [
-        BoundReport("pi_bounds", {"x": int(xs[i])}, float(pis[i]),
-                    float(base[i]), False, float(margins[i]))
-        for i in near if not verify_pi_bounds(table, int(xs[i]))
-    ]
-    k = int(np.argmin(margins))
-    return SweepReport(
-        name="pi_bounds_range",
-        checked=hi - lo + 1,
-        failures=tuple(failures),
-        min_margin=float(margins[k]),
-        argmin={"x": int(xs[k])},
-        escalations=len(near),
+    return _finish_sweep(
+        "pi_bounds_range", np.minimum(pis - lower, upper - pis), MARGIN,
+        hi - lo + 1, lambda i: {"x": int(xs[i])},
+        lambda x: _check_pi_bounds(table, x),
     )
 
 
@@ -511,48 +524,41 @@ def harmonic_number(n: int) -> float:
 
 def harmonic_gap(n: int) -> float:
     """H_n - log n - gamma, which lies strictly in (0, 1/(2n))."""
-    return harmonic_number(n) - math.log(n) - float(Fraction(EULER_MASCHERONI))
+    gamma = float(EULER_MASCHERONI)
+    return _harmonic_terms(harmonic_number(n), n, gamma, math.log, float)[0]
 
 
-def _harmonic_gap_holds_mp(n: int) -> bool:
-    with mpmath.workdps(40):
-        gap = mpmath.harmonic(n) - mpmath.log(n) - mpmath.euler
-        return bool(0 < gap < mpmath.mpf(1) / (2 * n))
+def _check_harmonic_gap(n: int) -> BoundReport:
+    """The harmonic gap at degree n, decided at high precision, each
+    side against the end of gamma's bracket that makes it conservative."""
+    glo, ghi = gamma_bounds()
+
+    def exact(g):
+        return _harmonic_terms(mpmath.harmonic(n), n, _to_mpf(g), *_MP)
+
+    holds = (_certified_less(lambda: (0, exact(ghi)[0]), strict=True)
+             and _certified_less(lambda: exact(glo), strict=True))
+    with mpmath.workdps(50):
+        gap, cap = map(float, exact(glo))
+    return BoundReport("harmonic_gap", {"n": n}, gap, cap, holds,
+                       min(gap, cap - gap))
 
 
 def verify_harmonic_gap(n_max: int) -> SweepReport:
     """Check 0 < H_n - log n - gamma < 1/(2n) for all 1 <= n <= n_max.
 
     Margins above _HARMONIC_BUDGET hold in floats; the rest are decided
-    at 40 digits.
+    one degree at a time at 50, then 200 digits.
     """
-    gamma = float(Fraction(EULER_MASCHERONI))
-    failures = []
-    escalations = 0
-    min_margin = math.inf
-    argmin = 0
+    gamma = float(EULER_MASCHERONI)
+    blocks = []
     for ns, hs in _harmonic_blocks(n_max):
-        gaps = hs - np.log(ns) - gamma
-        caps = 0.5 / ns
-        margins = np.minimum(gaps, caps - gaps)
-        k = int(np.argmin(margins))
-        if margins[k] < min_margin:
-            min_margin, argmin = float(margins[k]), int(ns[k])
-        for i in np.flatnonzero(margins <= _HARMONIC_BUDGET).tolist():
-            escalations += 1
-            n = int(ns[i])
-            if not _harmonic_gap_holds_mp(n):
-                failures.append(BoundReport(
-                    "harmonic_gap", {"n": n}, float(gaps[i]), float(caps[i]),
-                    False, float(margins[i])))
-    return SweepReport(
-        name="harmonic_gap",
-        checked=n_max,
-        failures=tuple(failures),
-        min_margin=min_margin,
-        argmin={"n": argmin},
-        escalations=escalations,
-    )
+        gaps, caps = _harmonic_terms(hs, ns, gamma, np.log, float)
+        blocks.append(_finish_sweep(
+            "harmonic_gap", np.minimum(gaps, caps - gaps), _HARMONIC_BUDGET,
+            len(ns), lambda i: {"n": int(ns[i])}, _check_harmonic_gap,
+        ))
+    return _merged("harmonic_gap", blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .perm import CycleType
-from .primes import PrimeTable, is_prime_trial
+from .primes import is_prime_trial
 
 # Largest degree the window functions accept.  The prime-subset sums
 # reach further (n = 100 takes under a second); the bound stays at
@@ -90,8 +90,8 @@ class PrimeWindow:
     """The primes in a half-open interval (lo, hi].
 
     ``primes`` must be exactly the primes of the interval, ascending;
-    the factories below build complete windows, and construction
-    re-checks the primality of every member.
+    :func:`prime_window` builds complete windows, and construction
+    re-checks the primality of every member by trial division.
     """
 
     lo: float
@@ -107,25 +107,18 @@ class PrimeWindow:
                 raise ValueError("window primes must be strictly ascending")
             if not self.lo < p <= self.hi:
                 raise ValueError(f"prime {p} outside ({self.lo}, {self.hi}]")
-            prev = p
-        for p in self.primes:
             if not is_prime_trial(p):
                 raise ValueError(f"window member {p} is not prime")
+            prev = p
 
 
-def prime_window(lo: float, hi: float, table: PrimeTable | None = None) -> PrimeWindow:
-    """Complete window of the primes in (lo, hi].
-
-    Uses ``table`` when given, trial division otherwise.
-    """
-    if table is not None:
-        ps = [int(p) for p in table.primes_between(lo, hi)]
-    else:
-        ps = [
-            k
-            for k in range(max(2, math.floor(lo) + 1), math.floor(hi) + 1)
-            if is_prime_trial(k)
-        ]
+def prime_window(lo: float, hi: float) -> PrimeWindow:
+    """Complete window of the primes in (lo, hi], by trial division."""
+    ps = [
+        k
+        for k in range(max(2, math.floor(lo) + 1), math.floor(hi) + 1)
+        if is_prime_trial(k)
+    ]
     return PrimeWindow(lo=float(lo), hi=float(hi), primes=tuple(ps))
 
 

@@ -5,9 +5,9 @@ is a single k-cycle fixing everything else.  That holds exactly when g
 has one cycle of length k and every other cycle length is coprime to k;
 this module finds those target lengths and constructs the witness power
 in O(n) from the cycle decomposition.  Each permutation derives its
-cycle type from one walk of its cycles and caches it, so sampling A_n
-(by rejecting odd draws), finding targets and extracting a witness share
-that walk.
+cycle type from one walk of its cycles and caches it, so finding
+targets and extracting a witness share that walk.  Sampling A_n rejects
+odd draws from their raw images, before any permutation is built.
 
 Points are 1-based everywhere in the public API, matching the two text
 notations: disjoint cycles ``(1,2,3)(4,5)`` and one-line images
@@ -163,16 +163,29 @@ def sample_uniform(
 
     Fisher-Yates via the generator's permutation method; for A_n, draws
     are repeated until one is even (half of S_n for n >= 2, so two
-    draws on average).  The parity comes from the draw's cached cycle
-    type, so a caller that asks for the type again does not walk the
-    element twice.
+    draws on average).  The parity is read from the raw draw, so only
+    the returned draw becomes a :class:`Permutation`.
     """
     check_sample_args(n, parity)
     gen = coerce_rng(rng)
     while True:
-        g = Permutation(tuple(v + 1 for v in gen.permutation(n).tolist()))
-        if parity == "any" or g.cycle_type.sign == 1:
-            return g
+        images = gen.permutation(n).tolist()
+        if parity == "any" or _is_even(images):
+            return Permutation(tuple(v + 1 for v in images))
+
+
+def _is_even(images: list[int]) -> bool:
+    """Whether n minus the number of cycles of the 0-based images is even."""
+    seen = bytearray(len(images))
+    cycles = 0
+    for i in range(len(images)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = images[j]
+    return (len(images) - cycles) % 2 == 0
 
 
 def _not_target(t: CycleType, k: int) -> str | None:

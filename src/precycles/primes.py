@@ -3,7 +3,9 @@
 The sieve backs every inequality sweep in this package: reciprocal prime
 sums over half-open intervals (a, b], the prime-counting bounds
 x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)), and the density-floor
-sweep in :mod:`precycles.bounds`.
+sweep.  Their closed forms and verdicts live in :mod:`precycles.bounds`:
+floats where the margin is wide, and otherwise the exact sums from here
+against the closed form at 50, then 200 digits.
 
 The prefix sums are integers, running sums of floor(2**60 / p) and
 floor(2**60 / p**2) over the primes.  Each floor loses less than one
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 # Prefix sums count in units of 2**-FIXED_BITS; the sum of 1/p stays
@@ -264,20 +265,3 @@ def decimal_str(n: int) -> str:
         ctx.traps[decimal.Inexact] = True
         text = str(convert(abs(n), n.bit_length()))
     return "-" + text if n < 0 else text
-
-
-def verify_pi_bounds(table: PrimeTable, x: int) -> bool:
-    """Check x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)) at 50 digits.
-
-    Valid for integers 11 <= x <= table.limit; smaller x raise
-    ValueError.
-    """
-    if x < 11:
-        raise ValueError(f"prime-count bounds require x >= 11, got {x}")
-    if x > table.limit:
-        raise ValueError(f"x={x} exceeds sieve limit {table.limit}")
-    pi_x = int(table.pi_prefix[x])
-    with mpmath.workdps(50):
-        mlog = mpmath.log(x)
-        mlo = x / mlog
-        return bool(mlo <= pi_x <= mlo * (1 + 3 / (2 * mlog)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -64,8 +65,12 @@ def test_prime_sum_bounds_values():
     assert psb3.recip_lower is not None
 
 
+SQ_PAIRS = ((12, 12), (12, 100), (50, 9000), (500, 501))
+RECIP_PAIRS = ((2, 4), (2, 10_000), (12, 500), (100, 101))
+
+
 def test_check_recip_sq_upper(table_small):
-    for a, b in ((12, 12), (12, 100), (50, 9000), (500, 501)):
+    for a, b in SQ_PAIRS:
         rep = bounds.check_recip_sq_upper(table_small, a, b)
         assert rep.holds, (a, b)
         assert rep.margin >= 0
@@ -73,12 +78,52 @@ def test_check_recip_sq_upper(table_small):
 
 
 def test_check_recip_bounds(table_small):
-    for a, b in ((2, 4), (2, 10_000), (12, 500), (100, 101)):
+    for a, b in RECIP_PAIRS:
         lo_rep, hi_rep = bounds.check_recip_bounds(table_small, a, b)
         assert lo_rep.holds and hi_rep.holds, (a, b)
         true_sum = float(primes.sum_recip_exact(table_small, a, b))
         assert lo_rep.lhs <= true_sum + 1e-12
         assert true_sum <= hi_rep.rhs + 1e-12
+
+
+def test_forced_escalations_keep_every_verdict(
+        table_small, table_large, monkeypatch):
+    # with no float margin wide enough, every verdict is escalated and
+    # must agree with the float one
+    sweeps = [
+        (lambda: bounds.verify_pi_bounds_range(table_large, 11, 20_000), 4516),
+        (lambda: bounds.verify_recip_sq_upper_all(table_large, 12, 300), 115),
+        (lambda: bounds.verify_recip_bounds_all(table_large, 2, 300), 246),
+        (lambda: bounds.verify_harmonic_gap(3000), 3000),
+    ]
+    spots = [lambda a=a, b=b: (bounds.check_recip_sq_upper(table_small, a, b),)
+             for a, b in SQ_PAIRS]
+    spots += [lambda a=a, b=b: bounds.check_recip_bounds(table_small, a, b)
+              for a, b in RECIP_PAIRS]
+    sweep_reports = [run() for run, _ in sweeps]
+    spot_reports = [run() for run in spots]
+    assert all(r.holds and r.escalations == 0 for r in sweep_reports)
+    calls = 0
+    certified_less = bounds._certified_less
+
+    def counting(sides, strict):
+        nonlocal calls
+        calls += 1
+        return certified_less(sides, strict)
+
+    monkeypatch.setattr(bounds, "_certified_less", counting)
+    monkeypatch.setattr(bounds, "MARGIN", math.inf)
+    monkeypatch.setattr(bounds, "_HARMONIC_BUDGET", math.inf)
+    for (run, count), unforced in zip(sweeps, sweep_reports):
+        before = calls
+        forced = run()
+        assert forced.escalations == count
+        assert calls - before >= count
+        assert dataclasses.replace(forced, escalations=0) == unforced
+    for run, unforced in zip(spots, spot_reports):
+        before = calls
+        assert run() == unforced
+        assert calls - before == len(unforced)
 
 
 def test_pair_sweeps_hold(table_small):

@@ -146,10 +146,10 @@ def test_prime_window_validation():
 
 
 def test_prime_window_with_table(table_small):
-    for lo, hi in ((1, 2), (2.5, 29), (100, 200)):
-        with_table = exact.prime_window(lo, hi, table_small)
-        without = exact.prime_window(lo, hi)
-        assert with_table.primes == without.primes
+    # trial division against the sieve
+    for lo, hi in ((1, 2), (2.5, 29), (100, 200), (1, 10_000)):
+        assert exact.prime_window(lo, hi).primes == \
+            tuple(table_small.primes_between(lo, hi).tolist())
 
 
 def test_large_prime_window_density():

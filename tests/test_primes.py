@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precycles import primes
+from precycles import bounds, primes
 
 # Textbook values, independent of the sieve.
 PI_VALUES = {10: 4, 100: 25, 1000: 168, 10_000: 1229,
@@ -121,11 +121,11 @@ def test_float_prefix_accuracy(table_large):
 
 def test_verify_pi_bounds(table_large):
     for x in (11, 12, 100, 1229, 78498, 500_000, 1_000_000):
-        assert primes.verify_pi_bounds(table_large, x)
+        assert bounds.verify_pi_bounds(table_large, x)
     with pytest.raises(ValueError):
-        primes.verify_pi_bounds(table_large, 10)
+        bounds.verify_pi_bounds(table_large, 10)
     with pytest.raises(ValueError):
-        primes.verify_pi_bounds(table_large, 1_000_001)
+        bounds.verify_pi_bounds(table_large, 1_000_001)
 
 
 def test_is_prime_trial():
