@@ -30,13 +30,11 @@ from .exact import (
     PrimeWindow,
     WindowHitStats,
     avoid_proportion,
-    centralizer_order,
     coprime_order_density,
     cycle_proportion,
     pre_cycle_density,
     pre_prime_cycle_proportion,
     prime_window,
-    sweep_partitions,
     window_hit_proportions,
     window_proportion,
 )

@@ -50,12 +50,9 @@ from .primes import (
 # Float comparisons closer to the boundary than this are escalated.
 MARGIN = 1e-9
 
-# Truncated (rounded toward zero) 30-significant-digit decimals; the
-# true constants lie strictly between value and value + 1e-30.
+# Truncated (rounded toward zero) 30-significant-digit decimal; the
+# true constant lies strictly between value and value + 1e-30.
 EULER_MASCHERONI = "0.577215664901532860606512090082"
-MEISSEL_MERTENS = "0.261497212847642783755426838608"
-
-_ULP30 = Fraction(1, 10**30)
 
 # Smallest integer n with n >= e**12; the headline bounds are asserted
 # from here on and merely evaluated below it.
@@ -65,13 +62,7 @@ ASSERTED_FROM = 162755
 def gamma_bounds() -> tuple[Fraction, Fraction]:
     """Rational bracket [lo, hi] around the Euler-Mascheroni constant."""
     lo = Fraction(EULER_MASCHERONI)
-    return lo, lo + _ULP30
-
-
-def meissel_mertens_bounds() -> tuple[Fraction, Fraction]:
-    """Rational bracket around the Meissel-Mertens constant."""
-    lo = Fraction(MEISSEL_MERTENS)
-    return lo, lo + _ULP30
+    return lo, lo + Fraction(1, 10**30)
 
 
 def _to_mpf(x) -> mpmath.mpf:

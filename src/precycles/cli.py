@@ -86,10 +86,13 @@ def _flatten(payload: dict, prefix: str = "") -> dict:
 
 
 def _csv_cell(v):
-    if isinstance(v, Fraction):
-        return _frac_str(v)
-    if isinstance(v, (list, tuple)):
-        return " ".join(str(x) for x in v)
+    """The JSON value, with list items space-joined and each dict or
+    inner list written as canonical JSON."""
+    v = _jsonable(v)
+    if isinstance(v, list):
+        return " ".join(
+            json.dumps(x, sort_keys=True) if isinstance(x, (dict, list))
+            else str(x) for x in v)
     return v
 
 

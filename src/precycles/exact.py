@@ -11,15 +11,11 @@ exponential formula, one p-cycle for each p in S next to
 m = n - sum(S) points that avoid a set of lengths has proportion
 (prod_{p in S} 1/p) * q_m.
 
-A partition sweep that enumerates cycle types directly, with an
-incrementally maintained centralizer order, is kept only as an
-independent oracle for the test suite and the acceptance criteria.
-
-Proportions over A_n weight each even class by 2/|C(lambda)|; the
-recurrence route gets a signed companion sequence for the same thing.
+Proportions over A_n weight each even class by 2/|C(lambda)|, through
+a signed companion sequence of the recurrence.
 
 Degrees above ``ENUMERATION_BOUND`` are refused by the window functions
-and the sweep with :class:`EnumerationCapacityError`; Monte Carlo estimation
+with :class:`EnumerationCapacityError`; Monte Carlo estimation
 (:mod:`precycles.montecarlo`) is the fallback at that scale.
 """
 from __future__ import annotations
@@ -28,10 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .perm import CycleType
-from .primes import is_prime_trial
+import numpy as np
+
+from .primes import build_sieve, is_prime_trial
 
 # Largest degree the window functions accept.  The prime-subset sums
 # reach further (n = 100 takes under a second); the bound stays at
@@ -107,90 +104,31 @@ class PrimeWindow:
                 raise ValueError("window primes must be strictly ascending")
             if not self.lo < p <= self.hi:
                 raise ValueError(f"prime {p} outside ({self.lo}, {self.hi}]")
-            if not is_prime_trial(p):
-                raise ValueError(f"window member {p} is not prime")
             prev = p
+        # each prime divisor d <= sqrt(max) tries the members >= d*d at once
+        ps = np.array(self.primes, dtype=np.int64)
+        composite = ps < 2
+        for d in _primes_upto(math.isqrt(int(ps[-1])) if ps.size else 0):
+            i = int(np.searchsorted(ps, d * d))
+            composite[i:] |= ps[i:] % d == 0
+        if composite.any():
+            bad = self.primes[int(np.argmax(composite))]
+            raise ValueError(f"window member {bad} is not prime")
+
+
+def _primes_upto(x: int) -> list[int]:
+    """The primes <= max(x, 2); an extra 2 is idle, as callers strike from 4."""
+    return np.flatnonzero(build_sieve(max(x, 2)).is_prime).tolist()
 
 
 def prime_window(lo: float, hi: float) -> PrimeWindow:
-    """Complete window of the primes in (lo, hi], by trial division."""
-    ps = [
-        k
-        for k in range(max(2, math.floor(lo) + 1), math.floor(hi) + 1)
-        if is_prime_trial(k)
-    ]
+    """Complete window of the primes in (lo, hi], by a segmented sieve."""
+    start, stop = max(2, math.floor(lo) + 1), math.floor(hi) + 1
+    keep = np.ones(max(stop - start, 0), dtype=bool)
+    for p in _primes_upto(math.isqrt(max(stop - 1, 0))):
+        keep[max(p * p, -(-start // p) * p) - start :: p] = False
+    ps = (np.flatnonzero(keep) + start).tolist()
     return PrimeWindow(lo=float(lo), hi=float(hi), primes=tuple(ps))
-
-
-def centralizer_order(t: CycleType) -> int:
-    """|C(lambda)| = prod k**m_k * m_k! for a cycle type lambda."""
-    out = 1
-    for k, m in t.parts:
-        out *= k**m * math.factorial(m)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Partition sweep.
-
-
-def sweep_partitions(
-    n: int, visit: Callable[[list[tuple[int, int]], int, int], None]
-) -> None:
-    """Enumerate the partitions of n, largest part first (reverse-lex).
-
-    ``visit(parts, centralizer, num_parts)`` receives the live stack of
-    (length, multiplicity) pairs in descending length order together
-    with the centralizer order of the class; callers must not retain or
-    mutate the stack.  The centralizer order is maintained
-    incrementally, one small multiplication per enumeration edge.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    parts: list[tuple[int, int]] = []
-
-    def rec(remaining: int, max_part: int, cent: int, num: int) -> None:
-        if remaining == 0:
-            visit(parts, cent, num)
-            return
-        for k in range(min(max_part, remaining), 0, -1):
-            c = cent
-            for m in range(1, remaining // k + 1):
-                c *= k * m
-                parts.append((k, m))
-                rec(remaining - k * m, k - 1, c, num + m)
-                parts.pop()
-
-    rec(n, n, 1, 0)
-
-
-def _sweep_proportion(
-    n: int,
-    group: str,
-    accept: Callable[[list[tuple[int, int]]], bool],
-) -> Fraction:
-    """Total class proportion of the accepted cycle types."""
-    _check_group(group, n)
-    if n > ENUMERATION_BOUND:
-        raise EnumerationCapacityError(n, ENUMERATION_BOUND)
-    nf = math.factorial(n)
-    total = 0
-    if group == "sym":
-
-        def visit(parts, cent, num):
-            nonlocal total
-            if accept(parts):
-                total += nf // cent
-
-    else:
-
-        def visit(parts, cent, num):
-            nonlocal total
-            if (n - num) % 2 == 0 and accept(parts):
-                total += 2 * (nf // cent)
-
-    sweep_partitions(n, visit)
-    return _check_unit_interval(Fraction(total, nf))
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +172,6 @@ def avoid_proportion(fs: ForbiddenSet, group: str = "sym") -> Fraction:
     _check_group(group, fs.n)
     count = _Avoiders(group).count(fs.n, fs.members)
     return _check_unit_interval(Fraction(count, math.factorial(fs.n)))
-
-
-def avoid_proportion_by_sweep(fs: ForbiddenSet, group: str = "sym") -> Fraction:
-    """Same statistic by direct partition enumeration.
-
-    Kept as an independent route for cross-checking the recurrence;
-    subject to the enumeration bound.
-    """
-    members = fs.members
-    return _sweep_proportion(
-        fs.n, group, lambda parts: all(k not in members for k, _ in parts)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,6 @@ def test_constant_brackets():
         gamma = mp.euler
         assert mp.mpf(lo.numerator) / lo.denominator < gamma
         assert mp.mpf(hi.numerator) / hi.denominator > gamma
-    lo, hi = bounds.meissel_mertens_bounds()
-    with mp.workdps(50):
-        m = mp.mertens
-        assert mp.mpf(lo.numerator) / lo.denominator < m
-        assert mp.mpf(hi.numerator) / hi.denominator > m
 
 
 def test_avoidance_bounds_values():

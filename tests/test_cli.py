@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -294,6 +296,18 @@ def test_csv_format(capsys):
     assert len(lines) == 2
     assert "value" in lines[0]
     assert "1/4" in lines[1]
+
+
+def test_csv_nested_cells_are_json(capsys):
+    code, out, _ = run(
+        ["verify-r2", "--max", "100", "--exact-upto", "6", "--format", "csv"],
+        capsys)
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    cells = dict(zip(header, row))
+    assert cells["exact_proportions"].startswith('{"n": 5, "value": "1/4"} ')
+    for cell in row:
+        assert "Fraction(" not in cell and "'" not in cell, cell
 
 
 def test_selftest_single_fast_criterion(capsys):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precycles import exact, montecarlo
+from cycle_types import cycle_types
+from precycles import acceptance, exact, montecarlo
 
 
 def _window_slice(n, data):
@@ -59,29 +60,33 @@ def test_cycle_proportion_small():
     assert exact.cycle_proportion(4) == Fraction(5, 6)
 
 
+def _class_counts(n, group):
+    """(parts, count in the group) for every cycle type of degree n: an
+    even type counts its S_n class size twice in A_n, an odd one 0."""
+    for parts, size in cycle_types(n):
+        if group == "sym":
+            yield parts, size
+        else:
+            yield parts, 2 * size if (n - len(parts)) % 2 == 0 else 0
+
+
+def test_cycle_types_match_brute_force():
+    for n in range(9):
+        total, _ = acceptance._brute_tables(n)
+        assert dict(cycle_types(n)) == dict(total)
+
+
 def test_centralizer_and_completeness():
     # class sizes sum to the group order
     for n in (1, 5, 12, 25, 40):
-        total = 0
-
-        def visit(parts, cent, num):
-            nonlocal total
-            total += factorial(n) // cent
-
-        exact.sweep_partitions(n, visit)
-        assert total == factorial(n)
+        assert sum(size for _, size in cycle_types(n)) == factorial(n)
 
 
 def test_class_probability_sums_to_one():
     for n in (8, 20):
-        acc = Fraction(0)
-
-        def visit(parts, cent, num):
-            nonlocal acc
-            acc += Fraction(1, cent)
-
-        exact.sweep_partitions(n, visit)
-        assert acc == 1
+        for group in ("sym", "alt"):
+            total = sum(count for _, count in _class_counts(n, group))
+            assert Fraction(total, factorial(n)) == 1
 
 
 @given(st.integers(min_value=1, max_value=25), st.data())
@@ -89,8 +94,10 @@ def test_recurrence_matches_partition_sweep(n, data):
     members = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
     fs = exact.ForbiddenSet(n, members)
     for group in ("sym",) + (("alt",) if n >= 2 else ()):
+        kept = sum(count for parts, count in _class_counts(n, group)
+                   if members.isdisjoint(parts))
         assert exact.avoid_proportion(fs, group) == \
-            exact.avoid_proportion_by_sweep(fs, group)
+            Fraction(kept, factorial(n))
 
 
 def test_derangements_in_both_groups_beyond_the_sweep():
@@ -145,11 +152,15 @@ def test_prime_window_validation():
         exact.PrimeWindow(1, 10**4, tuple(ps))
 
 
-def test_prime_window_with_table(table_small):
-    # trial division against the sieve
+def test_prime_window_with_table(table_small, table_large):
+    # the window's own sieve against the table's
     for lo, hi in ((1, 2), (2.5, 29), (100, 200), (1, 10_000)):
         assert exact.prime_window(lo, hi).primes == \
             tuple(table_small.primes_between(lo, hi).tolist())
+    for lo, hi in ((9_999.5, 10_007), (12_345.5, 234_567.9),
+                   (999_000, 10**6), (1, 10**6)):
+        assert exact.prime_window(lo, hi).primes == \
+            tuple(table_large.primes_between(lo, hi).tolist())
 
 
 def test_large_prime_window_density():
@@ -175,19 +186,10 @@ def _enumerated_sample(n, group):
     """Every cycle type of degree n as one row of a (rows, lengths)
     sample, with its class count in the group (0 for odd types in A_n)."""
     rows, lengths, counts = [], [], []
-    nf = factorial(n)
-
-    def visit(parts, cent, num):
-        row = len(counts)
-        for k, m in parts:
-            rows.extend([row] * m)
-            lengths.extend([k] * m)
-        if group == "sym":
-            counts.append(nf // cent)
-        else:
-            counts.append(2 * (nf // cent) if (n - num) % 2 == 0 else 0)
-
-    exact.sweep_partitions(n, visit)
+    for row, (parts, count) in enumerate(_class_counts(n, group)):
+        rows.extend([row] * len(parts))
+        lengths.extend(parts)
+        counts.append(count)
     return np.array(rows), np.array(lengths), np.array(counts, dtype=object)
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cycle_types import cycle_types
 from precycles import exact, montecarlo
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -98,15 +99,12 @@ def test_sampler_cycle_type_law(group):
     assert (tally @ np.arange(n + 1) == n).all()
     seen = dict(zip(*np.unique(tally @ place, return_counts=True)))
     classes = {}
-
-    def visit(parts, cent, num):
-        code = sum(m * int(place[k]) for k, m in parts)
+    for parts, size in cycle_types(n):
+        code = sum(int(place[k]) for k in parts)
         if group == "sym":
-            classes[code] = Fraction(1, cent)
-        elif (n - num) % 2 == 0:
-            classes[code] = Fraction(2, cent)
-
-    exact.sweep_partitions(n, visit)
+            classes[code] = Fraction(size, math.factorial(n))
+        elif (n - len(parts)) % 2 == 0:
+            classes[code] = Fraction(2 * size, math.factorial(n))
     assert sum(classes.values()) == 1
     assert set(seen) <= set(classes)  # for A_n: no odd type
     for code, truth in classes.items():

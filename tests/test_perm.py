@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precycles import exact, perm
+from cycle_types import cycle_types
+from precycles import perm
 
 perms = st.integers(min_value=1, max_value=30).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -143,13 +144,8 @@ def test_sample_uniform_type_distribution_chi_square():
     """Goodness of fit over all 11 cycle types of S_6 at significance
     1e-3; deterministic via the fixed seed."""
     n, m = 6, 30_000
-    expected = {}
-
-    def visit(parts, cent, num):
-        key = tuple(sorted(k for k, mult in parts for _ in range(mult)))
-        expected[key] = m / cent
-
-    exact.sweep_partitions(n, visit)
+    expected = {
+        parts: m * size / math.factorial(n) for parts, size in cycle_types(n)}
     assert len(expected) == 11
     rng = np.random.default_rng(1729)
     observed = Counter()
