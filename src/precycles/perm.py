@@ -4,10 +4,12 @@ A permutation g of degree n "powers to a k-cycle" when some power g**e
 is a single k-cycle fixing everything else.  That holds exactly when g
 has one cycle of length k and every other cycle length is coprime to k;
 this module finds those target lengths and constructs the witness power
-in O(n) from the cycle decomposition.  Each permutation derives its
-cycle type from one walk of its cycles and caches it, so finding
-targets and extracting a witness share that walk.  Sampling A_n rejects
-odd draws from their raw images, before any permutation is built.
+from the cycle decomposition.  Cycle types, A_n parity and the witness's
+cycle come from whole-array numpy passes over the images: pointer
+doubling labels every point with the smallest point of its cycle, so no
+Python loop runs over all n points.  Each permutation caches only its
+cycle type.  Sampling A_n rejects odd draws from their raw images,
+before any permutation is built.
 
 Points are 1-based everywhere in the public API, matching the two text
 notations: disjoint cycles ``(1,2,3)(4,5)`` and one-line images
@@ -60,11 +62,6 @@ class CycleType:
         if total != self.n:
             raise ValueError(f"parts sum to {total}, expected n={self.n}")
 
-    @classmethod
-    def from_counts(cls, n: int, counts: dict[int, int]) -> "CycleType":
-        parts = tuple(sorted((k, m) for k, m in counts.items() if m))
-        return cls(n=n, parts=parts)
-
     def multiplicity(self, k: int) -> int:
         for length, mult in self.parts:
             if length == k:
@@ -92,16 +89,12 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
+        images = self.images
+        n = len(images)
         if n > DEGREE_CAP:
             raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-        seen = bytearray(n)
-        for v in self.images:
-            if not isinstance(v, int) or not 1 <= v <= n:
-                raise ValueError(f"image {v!r} outside 1..{n}")
-            if seen[v - 1]:
-                raise ValueError(f"image {v} repeated; not a bijection")
-            seen[v - 1] = 1
+        if n and not _is_bijection(images):
+            _raise_first_fault(images)
 
     @property
     def degree(self) -> int:
@@ -130,10 +123,60 @@ class Permutation:
 
     @cached_property
     def cycle_type(self) -> CycleType:
-        """The cycle type, from one walk of :meth:`cycles` per instance."""
-        return CycleType.from_counts(
-            self.degree, Counter(len(cyc) for cyc in self.cycles())
-        )
+        """The cycle type, from one labelling of the cycles per instance."""
+        return _cycle_type(self.degree, _cycle_sizes(_zero_based(self)))
+
+
+def _is_bijection(images: tuple) -> bool:
+    """Whether the non-empty images are ints forming a bijection onto
+    1..n, by whole-array passes."""
+    n = len(images)
+    if not all(issubclass(t, int) for t in set(map(type, images))):
+        return False
+    try:
+        f = np.fromiter(images, np.intp, n)
+    except OverflowError:
+        return False
+    return f.min() >= 1 and f.max() <= n and np.count_nonzero(np.bincount(f)) == n
+
+
+def _raise_first_fault(images: tuple) -> None:
+    """Raise ValueError naming the first image that is not an int in
+    1..n or that repeats an earlier one."""
+    n = len(images)
+    seen = bytearray(n)
+    for v in images:
+        if not isinstance(v, int) or not 1 <= v <= n:
+            raise ValueError(f"image {v!r} outside 1..{n}")
+        if seen[v - 1]:
+            raise ValueError(f"image {v} repeated; not a bijection")
+        seen[v - 1] = 1
+
+
+def _zero_based(g: Permutation) -> np.ndarray:
+    return np.fromiter(g.images, np.intp, g.degree) - 1
+
+
+def _cycle_sizes(f: np.ndarray) -> np.ndarray:
+    """Length of each cycle of the 0-based images f, stored at the
+    cycle's smallest point; every other entry is 0, and the array ends
+    at the last such point.
+
+    Pointer doubling: m[i] starts as the smaller of i and f(i), and each
+    round squares f and takes m = min(m, m o f), doubling the stretch of
+    i's cycle that m[i] covers.  After ceil(log2 n) rounds every point
+    is labelled with the smallest point of its cycle.
+    """
+    n = len(f)
+    m = np.minimum(np.arange(n), f)
+    for _ in range(1, (n - 1).bit_length()):
+        f = f[f]
+        np.minimum(m, m[f], out=m)
+    return np.bincount(m)
+
+
+def _cycle_type(n: int, sizes: np.ndarray) -> CycleType:
+    return CycleType(n, tuple(sorted(Counter(sizes[sizes > 0].tolist()).items())))
 
 
 def identity(n: int) -> Permutation:
@@ -163,29 +206,19 @@ def sample_uniform(
 
     Fisher-Yates via the generator's permutation method; for A_n, draws
     are repeated until one is even (half of S_n for n >= 2, so two
-    draws on average).  The parity is read from the raw draw, so only
-    the returned draw becomes a :class:`Permutation`.
+    draws on average).  Each draw's cycles are labelled once, from the
+    raw array: that labelling gives the parity and, for the returned
+    draw, the cached cycle type.
     """
     check_sample_args(n, parity)
     gen = coerce_rng(rng)
     while True:
-        images = gen.permutation(n).tolist()
-        if parity == "any" or _is_even(images):
-            return Permutation(tuple(v + 1 for v in images))
-
-
-def _is_even(images: list[int]) -> bool:
-    """Whether n minus the number of cycles of the 0-based images is even."""
-    seen = bytearray(len(images))
-    cycles = 0
-    for i in range(len(images)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = 1
-                j = images[j]
-    return (len(images) - cycles) % 2 == 0
+        f = gen.permutation(n)
+        sizes = _cycle_sizes(f)
+        if parity == "any" or (n - np.count_nonzero(sizes)) % 2 == 0:
+            g = Permutation(tuple((f + 1).tolist()))
+            g.__dict__["cycle_type"] = _cycle_type(n, sizes)  # fills the cache
+            return g
 
 
 def _not_target(t: CycleType, k: int) -> str | None:
@@ -220,14 +253,15 @@ def extract_cycle_power(g: Permutation, k: int) -> tuple[int, Permutation]:
     reason = _not_target(t, k)
     if reason is not None:
         raise ValueError(reason)
-    others = [j for j, _ in t.parts if j != k]
-    ell = math.lcm(*others) if others else 1
-    shift = ell % k
-    images = list(range(1, g.degree + 1))
-    cyc = next(c for c in g.cycles() if len(c) == k)
-    for i, point in enumerate(cyc):
-        images[point - 1] = cyc[(i + shift) % k]
-    return ell, Permutation(tuple(images))
+    ell = math.lcm(*(j for j, _ in t.parts if j != k))
+    # walk the one k-cycle from its smallest point
+    cyc = [int(np.argmax(_cycle_sizes(_zero_based(g)) == k)) + 1]
+    while len(cyc) < k:
+        cyc.append(g.images[cyc[-1] - 1])
+    points = np.array(cyc)
+    images = np.arange(1, g.degree + 1)
+    images[points - 1] = np.roll(points, -(ell % k))
+    return ell, Permutation(tuple(images.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -44,6 +46,28 @@ def test_permutation_validates():
         perm.Permutation((0, 1))
     with pytest.raises(ValueError):
         perm.Permutation((2, 3))
+
+
+@pytest.mark.parametrize("images, bad", [
+    ((1.0,), 1.0),
+    (("1",), "1"),
+    ((None,), None),
+    ((np.int64(1),), np.int64(1)),
+    ((2, np.int64(1)), np.int64(1)),
+    ((2**70, 1), 2**70),
+    ((1, -1), -1),
+    ((2, 1, 2), 2),
+])
+def test_permutation_rejects_bad_images(images, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        perm.Permutation(images)
+
+
+def test_permutation_accepts_bool_images():
+    # True is an int, as isinstance sees it
+    assert perm.Permutation((True,)) == perm.identity(1)
+    g = perm.Permutation((2, True))
+    assert perm.cycle_type(g).counts == {2: 1}
 
 
 def test_cycles_ordered_by_smallest_point():
@@ -97,6 +121,25 @@ def test_sign_matches_inversion_parity(g):
     t = perm.cycle_type(g)
     want = -1 if _inversions(g.images) % 2 else 1
     assert t.sign == want
+
+
+# sha256 of the repr of 25 consecutive draws from default_rng(n + 7),
+# recorded from the pure-Python cycle walk, so that the numpy parity
+# provably rejects the same A_n draws
+@pytest.mark.parametrize("n, parity, digest", [
+    (20, "any",
+     "639cf99b130b8a4227ec1709df2c2b731f8b7690c290403630d9b55b0aab05a9"),
+    (20, "even",
+     "7976da2237bfd756daf42cb0f6e9c587186d8791900d002b092276926e22ab7b"),
+    (1000, "any",
+     "ac430c6417b6b877272082fa55ea869c754b7e1a205a53ab55adfd8c3676411b"),
+    (1000, "even",
+     "1699b943469913035b006af65ebf2bafda62aa085442cecd3290e8fa58257904"),
+])
+def test_sample_uniform_stream_is_pinned(n, parity, digest):
+    rng = np.random.default_rng(n + 7)
+    draws = [perm.sample_uniform(n, parity, rng).images for _ in range(25)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
 
 
 def test_sample_uniform_derangement_rate():
@@ -235,3 +278,60 @@ def test_extract_cycle_power_errors():
     f = perm.parse_cycles("(1,2)(3,4,5,6)", 6)
     with pytest.raises(ValueError, match="shares factor"):
         perm.extract_cycle_power(f, 4)
+
+
+def _walk_cycles(images) -> list[list[int]]:
+    """Cycles of 1-based images by a plain walk, each from its smallest
+    point, ordered by that point."""
+    seen = set()
+    out = []
+    for i in range(1, len(images) + 1):
+        if i not in seen:
+            cyc = [i]
+            seen.add(i)
+            while images[cyc[-1] - 1] not in seen:
+                cyc.append(images[cyc[-1] - 1])
+                seen.add(cyc[-1])
+            out.append(cyc)
+    return out
+
+
+def _walk_extract(g: perm.Permutation, k: int):
+    """Reference (ell, g**ell) for a valid target k, from the walk."""
+    cycles = _walk_cycles(g.images)
+    ell = math.lcm(*(len(c) for c in cycles if len(c) != k))
+    images = list(range(1, g.degree + 1))
+    cyc = next(c for c in cycles if len(c) == k)
+    for i, point in enumerate(cyc):
+        images[point - 1] = cyc[(i + ell) % k]
+    return ell, perm.Permutation(tuple(images))
+
+
+def _check_labelling(g: perm.Permutation) -> None:
+    t = perm.cycle_type(g)
+    assert t.counts == Counter(len(c) for c in g.cycles())
+    for k in perm.pre_cycle_targets(t):
+        assert perm.extract_cycle_power(g, k) == _walk_extract(g, k)
+
+
+def _n_cycle(n: int) -> perm.Permutation:
+    return perm.Permutation(tuple(range(2, n + 1)) + (1,))
+
+
+@given(perms)
+def test_labelling_matches_cycle_walk(g):
+    _check_labelling(g)
+
+
+@pytest.mark.parametrize("g", [
+    perm.identity(1),
+    perm.identity(64),
+    *(_n_cycle(2**k + d) for k in range(1, 11) for d in (0, 1)),
+    # the 1024-cycle i -> i - 1, running against the order of its points
+    perm.Permutation((1024,) + tuple(range(1, 1024))),
+    perm.parse_cycles("(2,3)", 4096),
+    perm.parse_cycles("(1000,1)(7,8,9)(4000,3000,2000,1024,1025)", 5000),
+    perm.parse_cycles("(5,4,3,2,1)(90,80)(60,70,100)", 100),
+])
+def test_labelling_edge_cases(g):
+    _check_labelling(g)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -167,3 +169,42 @@ def test_outcome_json():
         recognize.ListSource([perm.identity(10)], 0), Fraction(1, 2))
     d2 = missing.to_json_dict()
     assert "prime" not in d2 and d2["status"] == "not_found"
+
+
+def _paper_window(n: int) -> tuple[float, float]:
+    log_n = math.log(n)
+    return log_n, log_n ** math.log(log_n)
+
+
+# sha256 of the sorted-key JSON of each outcome, recorded from the
+# pure-Python cycle walk: draws, A_n rejections and witnesses are pinned
+@pytest.mark.parametrize("seed, draws, prime, exponent, digest", [
+    (1, 2, 17, 3638379287400,
+     "ea65590fb5e0cd15676a2ca9d02e445221e7d9ae2299e6cc5bf9a5f9ba768505"),
+    (2, 3, 79, 177989328,
+     "93203a1f684372e6efca39633e42331309f280e0da818960f63c381408642062"),
+    (3, 5, 67, 10536651442973250,
+     "68d827470b00bf2bf943cbf35afa242e246568f0c1744096d78de5061530a862"),
+])
+def test_alt_recognition_at_degree_ten_thousand_is_pinned(
+        seed, draws, prime, exponent, digest):
+    out = recognize.run_recognizer(
+        recognize.UniformSource(10**4, "even", seed), Fraction(1, 100),
+        p_range=_paper_window(10**4))
+    blob = out.to_json_dict()
+    assert (blob["draws_used"], blob["prime"], blob["exponent"]) == \
+        (draws, prime, exponent)
+    text = json.dumps(blob, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_recognizer_at_degree_one_million_without_runaway():
+    start = time.perf_counter()
+    out = recognize.run_recognizer(
+        recognize.UniformSource(10**6, "even", 3), Fraction(1, 100))
+    elapsed = time.perf_counter() - start
+    assert out.found
+    counts = perm.cycle_type(out.cycle).counts
+    assert counts == {out.prime: 1, 1: 10**6 - out.prime}
+    assert perm.cycle_type(out.element).sign == 1
+    assert elapsed < 30, elapsed
