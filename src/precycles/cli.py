@@ -27,7 +27,6 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact, montecarlo, primes, recognize
-from .perm import format_cycles
 
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
@@ -474,21 +473,22 @@ def cmd_recognize(ns) -> int:
     outcome = recognize.run_recognizer(
         source, ns.epsilon, ns.c0, p_range=p_range
     )
+    payload = outcome.to_json_dict()
     lines = [f"source: {source.describe()}"]
     if outcome.found:
         lines.append(
             f"found after {outcome.draws_used} draws: prime "
             f"{outcome.prime}, exponent {outcome.exponent}"
         )
-        lines.append(f"element: {format_cycles(outcome.element)}")
-        lines.append(f"certified cycle: {format_cycles(outcome.cycle)}")
+        lines.append(f"element: {payload['element']}")
+        lines.append(f"certified cycle: {payload['cycle']}")
     else:
         lines.append(
             f"not found after {outcome.draws_used} draws "
             f"(failure probability <= {_frac_str(outcome.epsilon)} "
             f"if the source density is >= {_frac_str(outcome.c0)})"
         )
-    emit(ns, outcome.to_json_dict(), lines)
+    emit(ns, payload, lines)
     return 0
 
 

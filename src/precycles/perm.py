@@ -7,9 +7,12 @@ this module finds those target lengths and constructs the witness power
 from the cycle decomposition.  Cycle types, A_n parity and the witness's
 cycle come from whole-array numpy passes over the images: pointer
 doubling labels every point with the smallest point of its cycle, so no
-Python loop runs over all n points.  Each permutation caches only its
-cycle type.  Sampling A_n rejects odd draws from their raw images,
-before any permutation is built.
+Python loop runs over all n points.  Each permutation labels its cycles
+at most once and caches only what that gives in a few ints: the cycle
+type and, for each cycle length, the smallest point of one cycle of
+that length (its leader), from which the witness walks.  Sampling A_n
+rejects odd draws from their raw images, before any permutation is
+built, and the accepted draw's labelling fills the cache.
 
 Points are 1-based everywhere in the public API, matching the two text
 notations: disjoint cycles ``(1,2,3)(4,5)`` and one-line images
@@ -96,6 +99,14 @@ class Permutation:
         if n and not _is_bijection(images):
             _raise_first_fault(images)
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap images that are a bijection onto 1..n by construction,
+        skipping every check of public construction."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "images", images)
+        return g
+
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -106,25 +117,17 @@ class Permutation:
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles (fixed points included), each starting at its
         smallest point, ordered by that point."""
-        n = self.degree
-        seen = bytearray(n)
-        out: list[list[int]] = []
-        for i in range(1, n + 1):
-            if seen[i - 1]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j - 1]:
-                seen[j - 1] = 1
-                cyc.append(j)
-                j = self.images[j - 1]
-            out.append(cyc)
-        return out
+        return _cycle_lists(self, 1)
 
     @cached_property
+    def _labelling(self) -> tuple[CycleType, dict[int, int]]:
+        """The cycle type and the leader of each cycle length, from one
+        labelling of the cycles per instance."""
+        return _summarise(self.degree, _cycle_sizes(_zero_based(self)))
+
+    @property
     def cycle_type(self) -> CycleType:
-        """The cycle type, from one labelling of the cycles per instance."""
-        return _cycle_type(self.degree, _cycle_sizes(_zero_based(self)))
+        return self._labelling[0]
 
 
 def _is_bijection(images: tuple) -> bool:
@@ -157,10 +160,8 @@ def _zero_based(g: Permutation) -> np.ndarray:
     return np.fromiter(g.images, np.intp, g.degree) - 1
 
 
-def _cycle_sizes(f: np.ndarray) -> np.ndarray:
-    """Length of each cycle of the 0-based images f, stored at the
-    cycle's smallest point; every other entry is 0, and the array ends
-    at the last such point.
+def _labels(f: np.ndarray) -> np.ndarray:
+    """The smallest point of each point's cycle, for 0-based images f.
 
     Pointer doubling: m[i] starts as the smaller of i and f(i), and each
     round squares f and takes m = min(m, m o f), doubling the stretch of
@@ -172,11 +173,55 @@ def _cycle_sizes(f: np.ndarray) -> np.ndarray:
     for _ in range(1, (n - 1).bit_length()):
         f = f[f]
         np.minimum(m, m[f], out=m)
-    return np.bincount(m)
+    return m
 
 
-def _cycle_type(n: int, sizes: np.ndarray) -> CycleType:
-    return CycleType(n, tuple(sorted(Counter(sizes[sizes > 0].tolist()).items())))
+def _cycle_sizes(f: np.ndarray) -> np.ndarray:
+    """Length of each cycle of the 0-based images f, stored at the
+    cycle's smallest point; every other entry is 0, and the array ends
+    at the last such point."""
+    return np.bincount(_labels(f))
+
+
+def _cycle_lists(g: Permutation, shortest: int) -> list[list[int]]:
+    """The cycles of g with at least ``shortest`` >= 1 points, each from
+    its smallest point, ordered by that point.
+
+    List ranking on top of the labelling: cutting each cycle just before
+    its smallest point leaves a path, pointer doubling counts every
+    point's steps to the end of its path (as many rounds as the longest
+    cycle needs), and that count and the label place each point in the
+    output with one scatter.
+    """
+    n = g.degree
+    f = _zero_based(g)
+    labels = _labels(f)
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes)
+    points = np.arange(n)
+    succ = np.where(f == labels, points, f)  # path ends point to themselves
+    steps = (succ != points).astype(np.intp)
+    for _ in range((int(sizes.max(initial=1)) - 1).bit_length()):
+        steps += steps[succ]
+        succ = succ[succ]
+    order = np.empty(n, np.intp)
+    order[ends[labels] - 1 - steps] = points
+    flat = (order + 1).tolist()
+    kept = sizes >= shortest
+    return [flat[b - k:b] for k, b in zip(sizes[kept].tolist(), ends[kept].tolist())]
+
+
+def _summarise(n: int, sizes: np.ndarray) -> tuple[CycleType, dict[int, int]]:
+    """The cycle type and, for each cycle length, the smallest 1-based
+    point of the first cycle of that length, from :func:`_cycle_sizes`.
+
+    One pass over the cycles' smallest points; reversed, so that the
+    first cycle of each length is the one the dict keeps.
+    """
+    roots = np.flatnonzero(sizes)
+    lengths = sizes[roots].tolist()
+    t = CycleType(n, tuple(sorted(Counter(lengths).items())))
+    return t, dict(zip(reversed(lengths), reversed((roots + 1).tolist())))
 
 
 def identity(n: int) -> Permutation:
@@ -208,7 +253,9 @@ def sample_uniform(
     are repeated until one is even (half of S_n for n >= 2, so two
     draws on average).  Each draw's cycles are labelled once, from the
     raw array: that labelling gives the parity and, for the returned
-    draw, the cached cycle type.
+    draw, the cached cycle type and leaders.  The returned permutation
+    skips the construction checks, since a shuffle of 1..n is a
+    bijection.
     """
     check_sample_args(n, parity)
     gen = coerce_rng(rng)
@@ -216,8 +263,9 @@ def sample_uniform(
         f = gen.permutation(n)
         sizes = _cycle_sizes(f)
         if parity == "any" or (n - np.count_nonzero(sizes)) % 2 == 0:
-            g = Permutation(tuple((f + 1).tolist()))
-            g.__dict__["cycle_type"] = _cycle_type(n, sizes)  # fills the cache
+            # f is a bijection: Generator.permutation shuffles arange(n)
+            g = Permutation._trusted(tuple((f + 1).tolist()))
+            g.__dict__["_labelling"] = _summarise(n, sizes)  # fills the cache
             return g
 
 
@@ -249,19 +297,21 @@ def extract_cycle_power(g: Permutation, k: int) -> tuple[int, Permutation]:
     k whenever k is a valid target, so the witness really is a k-cycle.
     Raises ValueError naming the failed condition otherwise.
     """
-    t = cycle_type(g)
+    t, leaders = g._labelling
     reason = _not_target(t, k)
     if reason is not None:
         raise ValueError(reason)
     ell = math.lcm(*(j for j, _ in t.parts if j != k))
     # walk the one k-cycle from its smallest point
-    cyc = [int(np.argmax(_cycle_sizes(_zero_based(g)) == k)) + 1]
+    images = g.images
+    cyc = [leaders[k]]
     while len(cyc) < k:
-        cyc.append(g.images[cyc[-1] - 1])
+        cyc.append(images[cyc[-1] - 1])
     points = np.array(cyc)
-    images = np.arange(1, g.degree + 1)
-    images[points - 1] = np.roll(points, -(ell % k))
-    return ell, Permutation(tuple(images.tolist()))
+    out = np.arange(1, g.degree + 1)
+    out[points - 1] = np.roll(points, -(ell % k))
+    # a permutation of the points of one cycle of g, identity elsewhere
+    return ell, Permutation._trusted(tuple(out.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +336,7 @@ def parse_one_line(text: str) -> Permutation:
 
 
 def format_cycles(g: Permutation) -> str:
-    parts = [
-        "(" + ",".join(str(p) for p in cyc) + ")"
-        for cyc in g.cycles()
-        if len(cyc) > 1
-    ]
+    parts = ["(" + ",".join(map(str, cyc)) + ")" for cyc in _cycle_lists(g, 2)]
     return "".join(parts) if parts else "()"
 
 

@@ -175,6 +175,26 @@ def test_recognize_uniform(capsys):
     assert blob["epsilon"] == "1/100"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_recognize_formats_each_permutation_once(fmt, monkeypatch, capsys):
+    formatted = []
+    format_cycles = recognize.format_cycles
+    monkeypatch.setattr(
+        recognize, "format_cycles",
+        lambda g: formatted.append(g) or format_cycles(g))
+    code, out, _ = run(
+        ["recognize", "--source", "alt", "--n", "30", "--seed", "4",
+         "--format", fmt], capsys)
+    assert code == 0
+    assert len(formatted) == 2
+    element, cycle = map(format_cycles, formatted)
+    if fmt == "text":
+        assert f"element: {element}\ncertified cycle: {cycle}\n" in out
+    else:
+        assert (json.loads(out)["element"], json.loads(out)["cycle"]) == \
+            (element, cycle)
+
+
 def test_recognize_replay(tmp_path, capsys):
     rng = np.random.default_rng(2)
     elements = [perm.sample_uniform(15, "any", rng) for _ in range(200)]

@@ -307,9 +307,19 @@ def _walk_extract(g: perm.Permutation, k: int):
     return ell, perm.Permutation(tuple(images))
 
 
+def _walk_format(images) -> str:
+    """Cycle notation written from the plain walk."""
+    return "".join(
+        "(" + ",".join(str(p) for p in c) + ")"
+        for c in _walk_cycles(images) if len(c) > 1) or "()"
+
+
 def _check_labelling(g: perm.Permutation) -> None:
+    walk = _walk_cycles(g.images)
+    assert g.cycles() == walk
+    assert perm.format_cycles(g) == _walk_format(g.images)
     t = perm.cycle_type(g)
-    assert t.counts == Counter(len(c) for c in g.cycles())
+    assert t.counts == Counter(len(c) for c in walk)
     for k in perm.pre_cycle_targets(t):
         assert perm.extract_cycle_power(g, k) == _walk_extract(g, k)
 
@@ -324,6 +334,7 @@ def test_labelling_matches_cycle_walk(g):
 
 
 @pytest.mark.parametrize("g", [
+    perm.identity(0),
     perm.identity(1),
     perm.identity(64),
     *(_n_cycle(2**k + d) for k in range(1, 11) for d in (0, 1)),
@@ -332,6 +343,26 @@ def test_labelling_matches_cycle_walk(g):
     perm.parse_cycles("(2,3)", 4096),
     perm.parse_cycles("(1000,1)(7,8,9)(4000,3000,2000,1024,1025)", 5000),
     perm.parse_cycles("(5,4,3,2,1)(90,80)(60,70,100)", 100),
+    perm.sample_uniform(4097, "any", 17),
+    perm.sample_uniform(5000, "even", 18),
 ])
 def test_labelling_edge_cases(g):
     _check_labelling(g)
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=300),
+       st.sampled_from(["any", "even"]),
+       st.integers(min_value=0, max_value=2**32))
+def test_sample_uniform_fills_a_valid_cache(n, parity, seed):
+    """Draws skip the construction checks: each must still pass them,
+    and each cached leader must start the first cycle of its length."""
+    g = perm.sample_uniform(n, parity, seed)
+    assert perm.Permutation(g.images) == g
+    t, leaders = g._labelling
+    walk = _walk_cycles(g.images)
+    assert t.counts == Counter(len(c) for c in walk)
+    assert leaders == {
+        k: next(c[0] for c in walk if len(c) == k) for k in t.counts}
+    for k in perm.pre_cycle_targets(t):
+        assert perm.extract_cycle_power(g, k) == _walk_extract(g, k)

@@ -208,3 +208,75 @@ def test_recognizer_at_degree_one_million_without_runaway():
     assert counts == {out.prime: 1, 1: 10**6 - out.prime}
     assert perm.cycle_type(out.element).sign == 1
     assert elapsed < 30, elapsed
+
+
+@pytest.mark.parametrize("text, n, p", [
+    ("(1,2,3)", 7, 3),
+    ("(2,9,4,6,5)", 9, 5),
+    ("(1,2)", 2, 2),
+])
+def test_verify_witness_accepts_single_cycles(text, n, p):
+    recognize._verify_witness(perm.parse_cycles(text, n), p, n)
+
+
+@pytest.mark.parametrize("cyc, p, n", [
+    # two p-cycles
+    (perm.parse_cycles("(1,2,3)(4,5,6)", 9), 3, 9),
+    (perm.parse_cycles("(1,2)(3,4)", 9), 2, 9),
+    # a p-cycle plus a transposition
+    (perm.parse_cycles("(1,2,3,4,5)(6,7)", 9), 5, 9),
+    # one cycle of the wrong length
+    (perm.parse_cycles("(1,2,3,4)", 9), 3, 9),
+    (perm.parse_cycles("(1,2,3,4,5)", 9), 7, 9),
+    # n - p moved points, but the orbit of 1 closes too early
+    (perm.parse_cycles("(1,2)(3,4,5)", 9), 5, 9),
+    (perm.parse_cycles("(5,6)(1,2,3,4)", 9), 6, 9),
+    # n - p fixed points, but 1 -> 2 -> 3 -> 2: the orbit never closes
+    (perm.Permutation._trusted((2, 3, 2, 4, 5, 6, 7)), 3, 7),
+    # n - p fixed points, but an image leaves 1..n
+    (perm.Permutation._trusted((2, 3, 0, 4, 5)), 3, 5),
+    (perm.Permutation._trusted((2, 3, 6, 4, 5)), 3, 5),
+    # ... and 2 -> 0 would wrap round to 5 -> 1 as a tuple index
+    (perm.Permutation._trusted((2, 0, 3, 4, 1)), 3, 5),
+    # the wrong degree
+    (perm.parse_cycles("(1,2,3)", 8), 3, 9),
+])
+def test_verify_witness_rejects(cyc, p, n):
+    with pytest.raises(AssertionError, match="witness verification failed"):
+        recognize._verify_witness(cyc, p, n)
+
+
+def _is_even(images) -> bool:
+    seen = [False] * len(images)
+    cycles = 0
+    for i in range(len(images)):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = images[i]
+    return (len(images) - cycles) % 2 == 0
+
+
+@pytest.mark.parametrize("parity, seed", [("any", 4), ("even", 2), ("even", 3)])
+def test_found_run_labels_each_raw_draw_once(monkeypatch, parity, seed):
+    """Every labelling goes through perm._labels: one per raw draw of
+    the source, none for the extract or the witness check."""
+    calls = []
+    labels = perm._labels
+    monkeypatch.setattr(perm, "_labels", lambda f: calls.append(1) or labels(f))
+    n = 10**4
+    out = recognize.run_recognizer(
+        recognize.UniformSource(n, parity, seed), Fraction(1, 100),
+        p_range=_paper_window(n))
+    assert out.found
+    # replay the source's stream, checking parity by a plain walk
+    rng = np.random.default_rng(seed)
+    raw = kept = 0
+    while kept < out.draws_used:
+        images = rng.permutation(n).tolist()
+        raw += 1
+        kept += parity == "any" or _is_even(images)
+    assert len(calls) == raw
+    if parity == "even":
+        assert raw > out.draws_used
