@@ -591,8 +591,8 @@ class FloorSweep:
     escalations: int = 0
 
 
-# Near n = 10**6 the first exact sum of a sweep costs about 0.8 s (a
-# fresh product tree and gcd); the others, carried from it, about a
+# Near n = 10**6 the first exact sum of a sweep costs about 0.2 s (a
+# fresh gcd-free product tree); the others, carried from it, about a
 # millisecond each.  Ten covers the nine degrees below 1/19 up to 720000.
 FLOOR_EXACT_EXCEPTIONS = 10
 

@@ -31,10 +31,12 @@ class PrimeTable:
     """Sieve of Eratosthenes up to ``limit`` plus prefix-sum arrays.
 
     ``is_prime`` and ``pi_prefix`` are indexed by x: ``pi_prefix[x]``
-    counts primes <= x.  ``s1_prefix[j]`` and ``s2_prefix[j]`` sum
-    floor(2**60 / p) and floor(2**60 / p**2) over the first j primes.
-    All arrays are read-only; a table can be shared freely between
-    threads.
+    counts primes <= x, in int32: pi(x) stays below 2**31 up to
+    x = 5 * 10**10, where ``pi_prefix`` alone would take 200 GB, so no
+    sieve that fits in memory overflows it.  ``s1_prefix[j]`` and
+    ``s2_prefix[j]`` sum floor(2**60 / p) and floor(2**60 / p**2) over
+    the first j primes.  All arrays are read-only; a table can be shared
+    freely between threads.
     """
 
     limit: int
@@ -72,10 +74,10 @@ def build_sieve(limit: int) -> PrimeTable:
             sieve[p * p :: p] = False
     primes = np.flatnonzero(sieve).astype(np.int64)
     one = np.int64(1 << FIXED_BITS)
-    # Summed in place: cumsum(sieve, dtype=int64) would hold a second
-    # int64 copy of the whole range while it runs.
-    pi_prefix = sieve.astype(np.int64)
-    np.cumsum(pi_prefix, out=pi_prefix)
+    # Summed in place: cumsum(sieve, dtype=int32) would hold a second
+    # copy of the whole range while it runs.
+    pi_prefix = sieve.astype(np.int32)
+    np.cumsum(pi_prefix, dtype=np.int32, out=pi_prefix)
     return PrimeTable(
         limit=limit,
         is_prime=sieve,
@@ -134,43 +136,43 @@ def sum_recip_sq(table: PrimeTable, a: float, b: float) -> float:
     return _fixed_sum(table, table.s2_prefix, a, b) * FIXED_UNIT
 
 
-# Below this many terms an exact sum is one int product tree; above it
-# the halves are added as Fractions.
-_TREE_LEAF = 64
+# Fraction(num, den) without its gcd, for coprime num and den with
+# den > 0: Python 3.12 added Fraction._from_coprime_ints and dropped the
+# _normalize flag that 3.10 and 3.11 take.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
 
 
-def _recip_tree(vals: list[int]) -> tuple[int, int]:
-    """Exact sum of 1/v over vals as an unreduced (num, den) pair, by a
-    divide-and-conquer product tree with no per-step gcd."""
-    if not vals:
-        return 0, 1
-    if len(vals) == 1:
-        return 1, vals[0]
-    mid = len(vals) // 2
-    n1, d1 = _recip_tree(vals[:mid])
-    n2, d2 = _recip_tree(vals[mid:])
-    return n1 * d2 + n2 * d1, d1 * d2
+def _coprime_recip_sum(vals: list[int]) -> Fraction:
+    """Exact sum of 1/v over pairwise-coprime positive ints vals, by a
+    bottom-up pairwise product tree with no gcd.
 
-
-def _balanced_recip_sum(vals: list[int]) -> Fraction:
-    """Exact sum of 1/v over vals, in lowest terms.
-
-    Short runs are one product tree; longer ones add their two halves as
-    Fractions.  When vals are pairwise coprime (primes, or their
-    squares) so are the halves' denominators: ``Fraction`` then takes
-    gcds of half-size numbers only, never the full-size gcd of the
-    final numerator and denominator, which a sum over coprime vals does
-    not need.
+    Each level adds neighbouring pairs a/c + b/d as (ad + bc)/(cd), so
+    the root is N/P with P the product of the vals and N the sum of P/v.
+    That root is in lowest terms.  A prime q dividing P divides exactly
+    one v, and every other term P/w has v as a factor, so
+    N = P/v (mod v), hence (mod q).  P/v is a product of values coprime
+    to v, so q does not divide it, nor N.  Distinct primes qualify as
+    vals, and so do their squares.
     """
-    if len(vals) <= _TREE_LEAF:
-        return Fraction(*_recip_tree(vals))
-    mid = len(vals) // 2
-    return _balanced_recip_sum(vals[:mid]) + _balanced_recip_sum(vals[mid:])
+    nums, dens = [1] * len(vals), vals
+    while len(dens) > 1:
+        # zip drops an odd last term; it moves up a level unpaired
+        rest = len(dens) - len(dens) % 2
+        nums = [a * d + b * c for a, b, c, d in
+                zip(nums[0::2], nums[1::2], dens[0::2], dens[1::2])] + nums[rest:]
+        dens = [c * d for c, d in zip(dens[0::2], dens[1::2])] + dens[rest:]
+    if not dens:
+        return Fraction(0)
+    return _coprime_fraction(nums[0], dens[0])
 
 
 def sum_recip_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     """Exact rational sum of 1/p over primes a < p <= b."""
-    return _balanced_recip_sum(table.primes_between(a, b).tolist())
+    return _coprime_recip_sum(table.primes_between(a, b).tolist())
 
 
 class RecipSumWalk:
@@ -181,10 +183,10 @@ class RecipSumWalk:
     interval and subtracts it for every prime that leaves.  ``Fraction``
     then takes a gcd only against the small p, and a sum of 1/p over
     distinct primes stays in lowest terms, so a run of overlapping
-    intervals costs one product tree and one gcd in all.  When more
-    primes move than stay (disjoint intervals included), the sum is
-    taken afresh with :func:`sum_recip_exact`.  Every call returns the
-    exact sum, whatever the order of the intervals.
+    intervals costs one gcd-free product tree in all.  When more primes
+    move than stay (disjoint intervals included), the sum is taken
+    afresh with :func:`sum_recip_exact`.  Every call returns the exact
+    sum, whatever the order of the intervals.
     """
 
     def __init__(self, table: PrimeTable) -> None:
@@ -215,7 +217,7 @@ class RecipSumWalk:
 def sum_recip_sq_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     """Exact rational sum of 1/p**2 over primes a < p <= b."""
     ps = table.primes_between(a, b).tolist()
-    return _balanced_recip_sum([p * p for p in ps])
+    return _coprime_recip_sum([p * p for p in ps])
 
 
 # Ints up to this many bits go straight to str(): about 2,500 digits,

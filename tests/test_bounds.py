@@ -310,20 +310,15 @@ def test_floor_sweep_ties_and_cap(table_small):
 def test_floor_sweep_carries_exact_sums(table_large, monkeypatch):
     # the six reported degrees past 719534 share one product tree: the
     # first is summed afresh, the rest are carried from it
-    real = primes._balanced_recip_sum
-    depth, trees = 0, []
+    real = primes._coprime_recip_sum
+    trees = []
 
     def counting(vals):
-        nonlocal depth
-        if depth == 0 and len(vals) > 1000:
+        if len(vals) > 1000:
             trees.append(len(vals))
-        depth += 1
-        try:
-            return real(vals)
-        finally:
-            depth -= 1
+        return real(vals)
 
-    monkeypatch.setattr(primes, "_balanced_recip_sum", counting)
+    monkeypatch.setattr(primes, "_coprime_recip_sum", counting)
     sweep = bounds.density_floor_sweep(table_large, 720_000)
     assert [rec.n for rec in sweep.exceptions] == \
         [5, 6, 7, 719534, 719535, 719566, 719567, 719568, 719569]

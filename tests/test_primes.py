@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precycles import bounds, primes
@@ -72,6 +73,33 @@ def test_exact_sum_small_window(table_small):
     assert primes.sum_recip_sq_exact(table_small, 2, 10) == \
         Fraction(1, 9) + Fraction(1, 25) + Fraction(1, 49)
     assert primes.sum_recip_exact(table_small, 13, 13) == 0
+
+
+@pytest.mark.parametrize("num, den", [
+    (0, 1), (1, 1), (1, 7), (22, 7), (-3, 10),
+    (3**200 + 2, 5**150), (2**521 - 1, 3 * 5 * 7 * 11 * 13),
+])
+def test_coprime_fraction_matches_normalised(num, den):
+    got, want = primes._coprime_fraction(num, den), Fraction(num, den)
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@given(st.lists(st.integers(0, 1228), unique=True, max_size=300), st.booleans())
+@example([], False)
+@example([], True)
+@example([0], False)
+@example([1228], True)
+def test_coprime_recip_sum_matches_fraction_sum(table_small, picks, squared):
+    # distinct primes <= 10_000 (pi(10_000) = 1229), in drawn order, or
+    # their squares: field by field against term-by-term Fraction sums
+    ps = table_small.primes_between(0, 10_000)
+    vals = [int(ps[i]) ** (2 if squared else 1) for i in picks]
+    got = primes._coprime_recip_sum(vals)
+    want = sum((Fraction(1, v) for v in vals), Fraction(0))
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert math.gcd(got.numerator, got.denominator) == 1
 
 
 @st.composite
