@@ -609,8 +609,14 @@ def run_criterion(index: int) -> CriterionResult:
 
 
 def run_all(only=None, echo=print) -> list[CriterionResult]:
+    """Run the criteria in ``only`` (all when None), after checking
+    that each index in it is known."""
+    known = [idx for idx, _, _ in _CRITERIA]
+    unknown = sorted(set(only or ()).difference(known))
+    if unknown:
+        raise ValueError(f"no criterion {unknown}; valid indices are {known}")
     results = []
-    for idx, _, _ in _CRITERIA:
+    for idx in known:
         if only is not None and idx not in only:
             continue
         result = run_criterion(idx)

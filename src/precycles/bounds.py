@@ -40,7 +40,7 @@ from .primes import (
     FIXED_UNIT,
     PrimeTable,
     RecipSumWalk,
-    decimal_str,
+    fraction_str,
     sum_recip,
     sum_recip_exact,
     sum_recip_sq,
@@ -568,8 +568,7 @@ class FloorRecord:
         return {
             "n": self.n,
             "value": self.value,
-            "exact": f"{decimal_str(self.exact.numerator)}/"
-                     f"{decimal_str(self.exact.denominator)}",
+            "exact": fraction_str(self.exact),
         }
 
 

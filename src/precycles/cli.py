@@ -27,6 +27,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact, montecarlo, primes, recognize
+from .primes import fraction_str
 
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
@@ -38,13 +39,9 @@ def rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{primes.decimal_str(q.numerator)}/{primes.decimal_str(q.denominator)}"
-
-
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return _frac_str(x)
+        return fraction_str(x)
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -252,7 +249,7 @@ def cmd_verify_r2(ns) -> int:
     table = primes.build_sieve(ns.max)
     sweep = bounds_mod.density_floor_sweep(table, ns.max, ns.threshold)
     lines = [
-        f"floor sweep 5..{ns.max} against {_frac_str(ns.threshold)}: "
+        f"floor sweep 5..{ns.max} against {fraction_str(ns.threshold)}: "
         f"min value {sweep.min_value:.6f} at n = {sweep.argmin_n}, "
         f"{sweep.below_count} below, {sweep.escalations} escalations",
     ]
@@ -320,8 +317,8 @@ def cmd_bounds(ns) -> int:
         emit(
             ns,
             {"kind": "sample-count", "epsilon": eps, "c0": c0, "draws": m},
-            [f"draws for failure probability <= {_frac_str(eps)} at density "
-             f">= {_frac_str(c0)}: {m}"],
+            [f"draws for failure probability <= {fraction_str(eps)} "
+             f"at density >= {fraction_str(c0)}: {m}"],
         )
         return 0
     if ns.window_bound is not None:
@@ -365,7 +362,7 @@ def cmd_bounds(ns) -> int:
              "e_one_minus_mu": ab.e_one_minus_mu,
              "e_gamma_minus_mu": ab.e_gamma_minus_mu,
              "gamma_bound_dominates": dom},
-            [f"avoidance bounds at mu = {_frac_str(mu)}: "
+            [f"avoidance bounds at mu = {fraction_str(mu)}: "
              f"1/mu = {ab.mu_inverse:.6g}, "
              f"e^(1-mu) = {ab.e_one_minus_mu:.6g}, "
              f"e^(gamma-mu) = {ab.e_gamma_minus_mu:.6g}",
@@ -485,8 +482,8 @@ def cmd_recognize(ns) -> int:
     else:
         lines.append(
             f"not found after {outcome.draws_used} draws "
-            f"(failure probability <= {_frac_str(outcome.epsilon)} "
-            f"if the source density is >= {_frac_str(outcome.c0)})"
+            f"(failure probability <= {fraction_str(outcome.epsilon)} "
+            f"if the source density is >= {fraction_str(outcome.c0)})"
         )
     emit(ns, payload, lines)
     return 0
@@ -500,22 +497,21 @@ def cmd_selftest(ns) -> int:
 
     only = None
     if ns.only:
-        only = [int(tok) for tok in ns.only.split(",") if tok.strip()]
-    results = acceptance.run_all(only=only)
+        only = [int(tok) for tok in ns.only.split(",")]
+    # progress lines are the text output; json and csv come at the end
+    results = acceptance.run_all(
+        only=only, echo=print if ns.format == "text" else None)
     ok = all(r.passed for r in results)
-    if ns.format == "json":
-        emit(ns, {"criteria": [r.to_json_dict() for r in results],
-                  "ok": ok}, [])
+    emit(ns, {"criteria": [r.to_json_dict() for r in results], "ok": ok}, [])
     return 0 if ok else 1
 
 
 # ------------------------------------------------------------------ main
 
 
-def _add_common(sub, *, fmt=True, seed=False):
-    if fmt:
-        sub.add_argument("--format", choices=("text", "json", "csv"),
-                         default="text")
+def _add_common(sub, *, seed=False):
+    sub.add_argument("--format", choices=("text", "json", "csv"),
+                     default="text")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
 

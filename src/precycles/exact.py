@@ -20,15 +20,17 @@ with :class:`EnumerationCapacityError`; Monte Carlo estimation
 """
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .primes import build_sieve, is_prime_trial
+from .perm import DEGREE_CAP
+from .primes import is_prime_trial, sieve_interval
 
 # Largest degree the window functions accept.  The prime-subset sums
 # reach further (n = 100 takes under a second); the bound stays at
@@ -86,49 +88,28 @@ class ForbiddenSet:
 class PrimeWindow:
     """The primes in a half-open interval (lo, hi].
 
-    ``primes`` must be exactly the primes of the interval, ascending;
-    :func:`prime_window` builds complete windows, and construction
-    re-checks the primality of every member by trial division.
+    ``primes`` is not an argument: construction sieves the interval
+    with :func:`~precycles.primes.sieve_interval`, so the tuple is
+    complete and ascending.  The endpoints must satisfy
+    lo <= hi <= lo + ``DEGREE_CAP``, which no infinity or NaN does.
     """
 
     lo: float
     hi: float
-    primes: tuple[int, ...]
+    primes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.hi < self.lo:
-            raise ValueError(f"window ({self.lo}, {self.hi}] is inverted")
-        prev = 0
-        for p in self.primes:
-            if p <= prev:
-                raise ValueError("window primes must be strictly ascending")
-            if not self.lo < p <= self.hi:
-                raise ValueError(f"prime {p} outside ({self.lo}, {self.hi}]")
-            prev = p
-        # each prime divisor d <= sqrt(max) tries the members >= d*d at once
-        ps = np.array(self.primes, dtype=np.int64)
-        composite = ps < 2
-        for d in _primes_upto(math.isqrt(int(ps[-1])) if ps.size else 0):
-            i = int(np.searchsorted(ps, d * d))
-            composite[i:] |= ps[i:] % d == 0
-        if composite.any():
-            bad = self.primes[int(np.argmax(composite))]
-            raise ValueError(f"window member {bad} is not prime")
-
-
-def _primes_upto(x: int) -> list[int]:
-    """The primes <= max(x, 2); an extra 2 is idle, as callers strike from 4."""
-    return np.flatnonzero(build_sieve(max(x, 2)).is_prime).tolist()
+        if not 0 <= self.hi - self.lo <= DEGREE_CAP:
+            raise ValueError(f"window ({self.lo}, {self.hi}] needs "
+                             f"lo <= hi <= lo + {DEGREE_CAP}")
+        start = math.floor(self.lo) + 1
+        found = np.flatnonzero(sieve_interval(start, math.floor(self.hi)))
+        object.__setattr__(self, "primes", tuple((found + start).tolist()))
 
 
 def prime_window(lo: float, hi: float) -> PrimeWindow:
-    """Complete window of the primes in (lo, hi], by a segmented sieve."""
-    start, stop = max(2, math.floor(lo) + 1), math.floor(hi) + 1
-    keep = np.ones(max(stop - start, 0), dtype=bool)
-    for p in _primes_upto(math.isqrt(max(stop - 1, 0))):
-        keep[max(p * p, -(-start // p) * p) - start :: p] = False
-    ps = (np.flatnonzero(keep) + start).tolist()
-    return PrimeWindow(lo=float(lo), hi=float(hi), primes=tuple(ps))
+    """The window of the primes in (lo, hi], endpoints taken as floats."""
+    return PrimeWindow(float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +201,9 @@ def _check_window_args(
 
 
 def _check_window(n: int, window: PrimeWindow) -> None:
-    for p in window.primes:
-        if p > n:
-            raise ValueError(f"window prime {p} exceeds degree {n}")
+    i = bisect.bisect_right(window.primes, n)
+    if i < len(window.primes):
+        raise ValueError(f"window prime {window.primes[i]} exceeds degree {n}")
 
 
 def _prime_subsets(

@@ -1,6 +1,7 @@
-"""Prime sieve with fixed-point prefix sums of 1/p and 1/p**2.
+"""One interval sieve, and a prime table with fixed-point prefix sums.
 
-The sieve backs every inequality sweep in this package: reciprocal prime
+:func:`sieve_interval` lists every prime window and builds every table.
+The table backs every inequality sweep in this package: reciprocal prime
 sums over half-open intervals (a, b], the prime-counting bounds
 x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)), and the density-floor
 sweep.  Their closed forms and verdicts live in :mod:`precycles.bounds`:
@@ -60,6 +61,21 @@ class PrimeTable:
         return np.flatnonzero(self.is_prime[: ib + 1][ia + 1 :]) + ia + 1
 
 
+def sieve_interval(lo: int, hi: int) -> np.ndarray:
+    """Sieve of Eratosthenes on the integers lo..hi: entry k - lo is True
+    exactly when k is prime (an empty array when hi < lo).
+
+    The base primes up to isqrt(hi) come from this function on
+    0..isqrt(hi); each strikes its multiples from max(p*p, lo) on.
+    """
+    out = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    out[: max(2 - lo, 0)] = False
+    if out.size and hi >= 4:
+        for p in np.flatnonzero(sieve_interval(0, math.isqrt(hi))).tolist():
+            out[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return out
+
+
 def build_sieve(limit: int) -> PrimeTable:
     """Sieve [0, limit] and build the prefix arrays.
 
@@ -67,11 +83,7 @@ def build_sieve(limit: int) -> PrimeTable:
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
+    sieve = sieve_interval(0, limit)
     primes = np.flatnonzero(sieve).astype(np.int64)
     one = np.int64(1 << FIXED_BITS)
     # Summed in place: cumsum(sieve, dtype=int32) would hold a second
@@ -218,6 +230,11 @@ def sum_recip_sq_exact(table: PrimeTable, a: float, b: float) -> Fraction:
     """Exact rational sum of 1/p**2 over primes a < p <= b."""
     ps = table.primes_between(a, b).tolist()
     return _coprime_recip_sum([p * p for p in ps])
+
+
+def fraction_str(q: Fraction) -> str:
+    """q as "num/den" in lowest terms, both written by :func:`decimal_str`."""
+    return f"{decimal_str(q.numerator)}/{decimal_str(q.denominator)}"
 
 
 # Ints up to this many bits go straight to str(): about 2,500 digits,

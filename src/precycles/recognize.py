@@ -30,7 +30,7 @@ from .perm import (
     pre_cycle_targets,
     sample_uniform,
 )
-from .primes import is_prime_trial
+from .primes import fraction_str, is_prime_trial
 
 DEFAULT_C0 = Fraction(1, 19)
 
@@ -182,8 +182,8 @@ class RecognitionOutcome:
             "status": self.status,
             "degree": self.degree,
             "draws_used": self.draws_used,
-            "epsilon": _fraction_str(self.epsilon),
-            "c0": _fraction_str(self.c0),
+            "epsilon": fraction_str(self.epsilon),
+            "c0": fraction_str(self.c0),
         }
         if self.found:
             out["prime"] = self.prime
@@ -191,10 +191,6 @@ class RecognitionOutcome:
             out["exponent"] = self.exponent
             out["cycle"] = format_cycles(self.cycle)
         return out
-
-
-def _fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def run_recognizer(

@@ -334,3 +334,31 @@ def test_selftest_single_fast_criterion(capsys):
     code, out, _ = run(["selftest", "--only", "2"], capsys)
     assert code == 0
     assert "PASS criterion 2" in out
+
+
+def test_selftest_json_and_csv_are_the_whole_stdout(capsys):
+    code, out, _ = run(["selftest", "--only", "2", "--format", "json"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["ok"] is True
+    assert [c["index"] for c in blob["criteria"]] == [2]
+    code, out, _ = run(["selftest", "--only", "2", "--format", "csv"], capsys)
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header == ["criteria", "ok"]
+    assert json.loads(row[0])["name"] == "derangement-oracle"
+
+
+def test_selftest_unknown_criterion_is_usage_error(capsys):
+    code, out, err = run(["selftest", "--only", "9"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "valid indices are [1, 2," in err
+
+
+@pytest.mark.parametrize("hi", ["inf", "3e8"])
+def test_density_runaway_window_is_usage_error(hi, capsys):
+    code, out, err = run(["density", "--n", "5", "--window", "1", hi], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window (1.0, ")

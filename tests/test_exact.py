@@ -1,13 +1,14 @@
+import math
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycle_types import cycle_types
-from precycles import acceptance, exact, montecarlo
+from precycles import acceptance, exact, montecarlo, primes
 
 
 def _window_slice(n, data):
@@ -136,20 +137,42 @@ def test_prime_window_validation():
     w = exact.prime_window(2.5, 11)
     assert w.primes == (3, 5, 7, 11)
     assert exact.prime_window(1, 1).primes == ()
-    with pytest.raises(ValueError):
-        exact.PrimeWindow(2, 11, (5, 3))
-    with pytest.raises(ValueError):
-        exact.PrimeWindow(2, 11, (3, 4, 5))
-    with pytest.raises(ValueError):
-        exact.PrimeWindow(2, 11, (3, 13))
-    with pytest.raises(ValueError, match="member 1 "):
-        exact.PrimeWindow(0, 11, (1, 2, 3))
-    # every member is checked, however many primes the window holds
-    ps = list(exact.prime_window(1, 10**4).primes)
-    assert len(ps) == 1229
-    ps[ps.index(3581)] = 3573  # 3**2 * 397
-    with pytest.raises(ValueError, match="member 3573 "):
-        exact.PrimeWindow(1, 10**4, tuple(ps))
+    assert exact.PrimeWindow(1, 10) == exact.prime_window(1, 10)
+    with pytest.raises(ValueError, match="needs lo <= hi"):
+        exact.PrimeWindow(11, 2)
+    # the primes are sieved from the interval, never supplied
+    with pytest.raises(TypeError):
+        exact.PrimeWindow(1, 10, (2, 3))
+    assert exact.window_proportion(10, exact.prime_window(1, 10), "sym") == \
+        Fraction(468911, 1209600)
+    inf, nan = math.inf, math.nan
+    for lo, hi in ((1, inf), (-inf, 5), (inf, inf), (nan, 5), (1, nan)):
+        with pytest.raises(ValueError, match="needs lo <= hi"):
+            exact.PrimeWindow(lo, hi)
+    # refused before anything is allocated; a span of exactly the cap is sieved
+    with pytest.raises(ValueError, match="hi <= lo [+] 10000000"):
+        exact.prime_window(1, 3e8)
+    assert len(exact.prime_window(0, 10**7).primes) == 664579
+
+
+# lower ends from p**2 - 3p to p**2: the spans straddle the square where
+# the base prime p starts striking
+_NEAR_SQUARES = st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29)).flatmap(
+    lambda p: st.integers(p * p - 3 * p, p * p))
+
+
+@given(lo=st.one_of(st.integers(-5, 3000), st.floats(-5.0, 3000.0),
+                    _NEAR_SQUARES),
+       width=st.one_of(st.integers(0, 400), st.floats(0.0, 400.0)))
+@example(lo=1, width=0)
+@example(lo=-3.5, width=6)
+@example(lo=2.5, width=0.5)
+@example(lo=48, width=1)
+def test_prime_window_against_trial_division(lo, width):
+    hi = lo + width
+    want = tuple(k for k in range(math.floor(lo) + 1, math.floor(hi) + 1)
+                 if primes.is_prime_trial(k))
+    assert exact.prime_window(lo, hi).primes == want
 
 
 def test_prime_window_with_table(table_small, table_large):

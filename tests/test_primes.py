@@ -26,6 +26,10 @@ def _trial_division(k: int) -> bool:
 def test_sieve_matches_trial_division(table_small):
     for k in range(10_001):
         assert bool(table_small.is_prime[k]) == _trial_division(k), k
+    # every small limit, so the last base prime falls at each position
+    for limit in range(2, 301):
+        got = primes.build_sieve(limit).is_prime.tolist()
+        assert got == [_trial_division(k) for k in range(limit + 1)], limit
 
 
 def test_pi_known_values(table_large):
