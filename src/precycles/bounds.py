@@ -297,19 +297,62 @@ def check_recip_bounds(
     )
 
 
-def _step_ends(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
-    """lo, hi, and p - 1 and p for every prime lo < p <= hi, ascending
-    and without repeats: both ends of every step of [lo, hi] on which
-    the prime prefix sums are constant."""
+# The π sweep and both pair grids walk the step ends from the top down,
+# _STEP_BLOCK primes at a time, so their temporaries stay a few MB
+# whatever the table's limit.
+_STEP_BLOCK = 1 << 15
+
+
+def _step_blocks(table: PrimeTable, lo: int, hi: int):
+    """Yield (xs, base, top) for blocks of the step ends of [lo, hi],
+    the highest block first.
+
+    The step ends are lo, hi, and p - 1 and p for every prime
+    lo < p <= hi, ascending and without repeats: both ends of every step
+    on which the prime prefix sums are constant.  A block of up to
+    _STEP_BLOCK of those primes holds the step ends in (base, top], with
+    base the prime below the block (lo - 1 for the lowest block) and top
+    its own last prime (hi for the highest block), so the blocks cover
+    the integers of [lo, hi] once each.
+    """
     ps = table.primes_between(lo, hi)
-    xs = np.concatenate(([lo], np.stack((ps - 1, ps), axis=1).ravel(), [hi]))
-    return xs[np.diff(xs, prepend=lo - 1) > 0]
+    for j1 in range(len(ps), 0, -_STEP_BLOCK) or (0,):
+        j0 = max(j1 - _STEP_BLOCK, 0)
+        base = int(ps[j0 - 1]) if j0 else lo - 1
+        top = int(ps[j1 - 1]) if j1 < len(ps) else hi
+        ends = np.repeat(ps[j0:j1], 2)
+        ends[::2] -= 1
+        # base leads only for the comparison, which drops each repeated
+        # end, and the end 3 - 1 when 2 tops the block below
+        xs = np.concatenate(([base] if j0 else [base, lo], ends, [top]))
+        yield xs[1:][xs[1:] > xs[:-1]], base, top
 
 
-def _suffix_extreme(values: np.ndarray, use_max: bool) -> np.ndarray:
-    rev = values[::-1]
-    acc = np.maximum.accumulate(rev) if use_max else np.minimum.accumulate(rev)
-    return acc[::-1]
+def _suffix_max(xs: np.ndarray, values: np.ndarray, carry: tuple):
+    """Suffix maxima of one block of values at step ends xs, joined with
+    ``carry`` = (value, b): the greatest value above the block and the
+    x of its first occurrence ((-inf, None) for the highest block).
+
+    Returns the maxima; a function giving for position i the pair
+    {"a": xs[i], "b": the x of the first greatest value at or above
+    xs[i]}; and the carry for the block below.  Maxima are exact, so
+    the blocks give the same floats as one pass over all step ends.
+    """
+    best, best_b = carry
+    acc = np.maximum.accumulate(values[::-1])[::-1]
+    np.maximum(acc, best, out=acc)
+
+    def pair(i: int) -> dict:
+        j = i + int(np.argmax(values[i:]))
+        return {"a": int(xs[i]), "b": int(xs[j]) if values[j] >= best else best_b}
+
+    k = int(np.argmax(values))
+    return acc, pair, (float(values[k]), int(xs[k])) if values[k] >= best else carry
+
+
+def _pairs(base: int, top: int, b_hi: int) -> int:
+    """The number of pairs a <= b <= b_hi with base < a <= top."""
+    return ((b_hi - base) * (b_hi - base + 1) - (b_hi - top) * (b_hi - top + 1)) // 2
 
 
 def verify_recip_sq_upper_all(
@@ -323,23 +366,24 @@ def verify_recip_sq_upper_all(
     both f and g decrease, so the suffix max of f is reached at a step
     start or at a itself, and the margin g(a) - max_{b >= a} f(b), a
     minimum of two decreasing functions of a, is least at a step end.
-    Only the step ends are evaluated.
+    Only the step ends are evaluated, in blocks from the top down that
+    carry the suffix max and its first b.
     """
     b_hi = table.limit if b_hi is None else b_hi
     if not 12 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 12 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
-    xs = _step_ends(table, a_lo, b_hi)
-    g, f = _sq_terms(xs, np.log, float)
-    s2 = table.s2_prefix[table.pi_prefix[xs]] * FIXED_UNIT
-    f += s2
-    g += s2
-    n_vals = b_hi - a_lo + 1
-    return _finish_sweep(
-        "recip_sq_upper_all", g - _suffix_extreme(f, use_max=True), MARGIN,
-        n_vals * (n_vals + 1) // 2,
-        lambda i: {"a": int(xs[i]), "b": int(xs[i + np.argmax(f[i:])])},
-        lambda a, b: check_recip_sq_upper(table, a, b),
-    )
+    carry, parts = (-math.inf, None), []
+    for xs, base, top in _step_blocks(table, a_lo, b_hi):
+        g, f = _sq_terms(xs, np.log, float)
+        s2 = table.s2_prefix[table.pi_prefix[xs]] * FIXED_UNIT
+        f += s2
+        g += s2
+        f_max, pair, carry = _suffix_max(xs, f, carry)
+        parts.append(_finish_sweep(
+            "recip_sq_upper_all", g - f_max, MARGIN, _pairs(base, top, b_hi),
+            pair, lambda a, b: check_recip_sq_upper(table, a, b),
+        ))
+    return _merged("recip_sq_upper_all", parts[::-1])
 
 
 def verify_recip_bounds_all(
@@ -348,38 +392,41 @@ def verify_recip_bounds_all(
     """Check the two-sided reciprocal-sum bracket for every pair a <= b.
 
     Same suffix-extremum rearrangement as the square-sum sweep, one
-    pass per side, over the same step ends.  On a step of constant s1,
-    plus = s1 - loglog x + 1/(2 log**2 x) always decreases, and
-    minus = s1 - loglog x - 1/log**2 x decreases for log**2 x > 2, that
-    is for x >= 5.  Lower side: the suffix min of plus is reached at a
-    step end and is constant along a step, so its margin
+    pass per side, over the same blocks of step ends.  On a step of
+    constant s1, plus = s1 - loglog x + 1/(2 log**2 x) always decreases,
+    and minus = s1 - loglog x - 1/log**2 x decreases for log**2 x > 2,
+    that is for x >= 5.  Lower side: the suffix min of plus is reached
+    at a step end and is constant along a step, so its margin
     min_{b >= a} plus(b) - minus(a) grows along the step and is least
     at a step start.  Upper side: the margin
     plus(a) - max_{b >= a} minus(b) is least at a step end, as in the
     square-sum sweep.  Below 5, where minus need not decrease, every
-    point (2, 3 and 4) is a step end.
+    point (2, 3 and 4) is a step end.  The suffix min of plus is carried
+    as the suffix max of -plus, which negation keeps exact.
     """
     b_hi = table.limit if b_hi is None else b_hi
     if not 2 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 2 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
-    xs = _step_ends(table, a_lo, b_hi)
-    loglogs, halves, inv2 = _recip_terms(xs, np.log, float)
-    s1 = table.s1_prefix[table.pi_prefix[xs]] * FIXED_UNIT
-    plus = s1 - loglogs + halves
-    minus = s1 - loglogs - inv2
-    n_vals = b_hi - a_lo + 1
-    checked = n_vals * (n_vals + 1) // 2
-    low = _finish_sweep(
-        "recip_lower_all", _suffix_extreme(plus, use_max=False) - minus, MARGIN,
-        checked, lambda i: {"a": int(xs[i]), "b": int(xs[i + np.argmin(plus[i:])])},
-        lambda a, b: check_recip_bounds(table, a, b)[0],
-    )
-    high = _finish_sweep(
-        "recip_upper_all", plus - _suffix_extreme(minus, use_max=True), MARGIN,
-        checked, lambda i: {"a": int(xs[i]), "b": int(xs[i + np.argmax(minus[i:])])},
-        lambda a, b: check_recip_bounds(table, a, b)[1],
-    )
-    return _merged("recip_bounds_all", [low, high])
+    low_carry = high_carry = (-math.inf, None)
+    lows, highs = [], []
+    for xs, base, top in _step_blocks(table, a_lo, b_hi):
+        loglogs, halves, inv2 = _recip_terms(xs, np.log, float)
+        s1 = table.s1_prefix[table.pi_prefix[xs]] * FIXED_UNIT
+        plus = s1 - loglogs + halves
+        minus = s1 - loglogs - inv2
+        neg_min, low_pair, low_carry = _suffix_max(xs, -plus, low_carry)
+        minus_max, high_pair, high_carry = _suffix_max(xs, minus, high_carry)
+        checked = _pairs(base, top, b_hi)
+        lows.append(_finish_sweep(
+            "recip_lower_all", -neg_min - minus, MARGIN, checked, low_pair,
+            lambda a, b: check_recip_bounds(table, a, b)[0],
+        ))
+        highs.append(_finish_sweep(
+            "recip_upper_all", plus - minus_max, MARGIN, checked, high_pair,
+            lambda a, b: check_recip_bounds(table, a, b)[1],
+        ))
+    return _merged("recip_bounds_all", [_merged("recip_lower_all", lows[::-1]),
+                                        _merged("recip_upper_all", highs[::-1])])
 
 
 def _finish_sweep(name: str, margins: np.ndarray, budget: float, checked: int,
@@ -444,19 +491,21 @@ def verify_pi_bounds_range(
 
     pi is constant from one prime to the next and both bounds increase
     for x >= 11, so each margin is least at an end of such a step; only
-    the step ends are evaluated.
+    the step ends are evaluated, in the pair grids' blocks.
     """
     hi = table.limit if hi is None else hi
     if not 11 <= lo <= hi <= table.limit:
         raise ValueError(f"need 11 <= lo <= hi <= limit, got {lo}, {hi}")
-    xs = _step_ends(table, lo, hi)
-    lower, upper = _pi_terms(xs, np.log, float)
-    pis = table.pi_prefix[xs].astype(float)
-    return _finish_sweep(
-        "pi_bounds_range", np.minimum(pis - lower, upper - pis), MARGIN,
-        hi - lo + 1, lambda i: {"x": int(xs[i])},
-        lambda x: _check_pi_bounds(table, x),
-    )
+    parts = []
+    for xs, base, top in _step_blocks(table, lo, hi):
+        lower, upper = _pi_terms(xs, np.log, float)
+        pis = table.pi_prefix[xs].astype(float)
+        parts.append(_finish_sweep(
+            "pi_bounds_range", np.minimum(pis - lower, upper - pis), MARGIN,
+            top - base, lambda i: {"x": int(xs[i])},
+            lambda x: _check_pi_bounds(table, x),
+        ))
+    return _merged("pi_bounds_range", parts[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,9 @@ class PrimeWindow:
     ``primes`` is not an argument: construction sieves the interval
     with :func:`~precycles.primes.sieve_interval`, so the tuple is
     complete and ascending.  The endpoints must satisfy
-    lo <= hi <= lo + ``DEGREE_CAP``, which no infinity or NaN does.
+    lo <= hi <= lo + ``DEGREE_CAP``, which no infinity or NaN does, and
+    floor(hi) <= ``DEGREE_CAP**2`` (10**14), so the base primes come
+    from a sieve no larger than 10**7.
     """
 
     lo: float
@@ -102,6 +104,9 @@ class PrimeWindow:
         if not 0 <= self.hi - self.lo <= DEGREE_CAP:
             raise ValueError(f"window ({self.lo}, {self.hi}] needs "
                              f"lo <= hi <= lo + {DEGREE_CAP}")
+        if math.floor(self.hi) > DEGREE_CAP**2:
+            raise ValueError(f"window ({self.lo}, {self.hi}] needs "
+                             f"floor(hi) <= {DEGREE_CAP**2}")
         start = math.floor(self.lo) + 1
         found = np.flatnonzero(sieve_interval(start, math.floor(self.hi)))
         object.__setattr__(self, "primes", tuple((found + start).tolist()))

@@ -34,20 +34,26 @@ class PrimeTable:
     ``is_prime`` and ``pi_prefix`` are indexed by x: ``pi_prefix[x]``
     counts primes <= x, in int32: pi(x) stays below 2**31 up to
     x = 5 * 10**10, where ``pi_prefix`` alone would take 200 GB, so no
-    sieve that fits in memory overflows it.  ``s1_prefix[j]`` and
-    ``s2_prefix[j]`` sum floor(2**60 / p) and floor(2**60 / p**2) over
-    the first j primes.  All arrays are read-only; a table can be shared
-    freely between threads.
+    sieve that fits in memory overflows it.  ``primes`` lists the primes
+    up to ``limit`` ascending, so the primes of (a, b] are the slice
+    ``primes[pi(a):pi(b)]``.  It is int64, the type the prefix sums
+    are built in: their terms take p * p, which passes 2**31 from
+    p = 46349 on.  ``s1_prefix[j]`` and ``s2_prefix[j]`` sum
+    floor(2**60 / p) and floor(2**60 / p**2) over the first j primes.
+    All arrays are read-only; a table can be shared freely between
+    threads.
     """
 
     limit: int
     is_prime: np.ndarray
     pi_prefix: np.ndarray
+    primes: np.ndarray
     s1_prefix: np.ndarray
     s2_prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.is_prime, self.pi_prefix, self.s1_prefix, self.s2_prefix):
+        for arr in (self.is_prime, self.pi_prefix, self.primes,
+                    self.s1_prefix, self.s2_prefix):
             arr.setflags(write=False)
 
     def pi(self, x: float) -> int:
@@ -56,9 +62,10 @@ class PrimeTable:
         return int(self.pi_prefix[ix])
 
     def primes_between(self, a: float, b: float) -> np.ndarray:
-        """All primes p with a < p <= b, ascending."""
+        """All primes p with a < p <= b, ascending: a read-only view of
+        ``primes``."""
         ia, ib = _interval_indices(a, b, self.limit)
-        return np.flatnonzero(self.is_prime[: ib + 1][ia + 1 :]) + ia + 1
+        return self.primes[self.pi_prefix[ia] : self.pi_prefix[ib]]
 
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
@@ -66,13 +73,22 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
     exactly when k is prime (an empty array when hi < lo).
 
     The base primes up to isqrt(hi) come from this function on
-    0..isqrt(hi); each strikes its multiples from max(p*p, lo) on.
+    0..isqrt(hi); each strikes its multiples from max(p*p, lo) on.  A
+    base prime above the span hi - lo has at most one multiple in the
+    window, so all of those strike in one vectorised pass and only the
+    primes up to the span loop in Python.
     """
     out = np.ones(max(hi - lo + 1, 0), dtype=bool)
     out[: max(2 - lo, 0)] = False
     if out.size and hi >= 4:
-        for p in np.flatnonzero(sieve_interval(0, math.isqrt(hi))).tolist():
+        base = np.flatnonzero(sieve_interval(0, math.isqrt(hi)))
+        k = int(np.searchsorted(base, hi - lo, side="right"))
+        for p in base[:k].tolist():
             out[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        if k < base.size:
+            wide = base[k:]
+            first = np.maximum(wide * wide, -(-lo // wide) * wide)
+            out[first[first <= hi] - lo] = False
     return out
 
 
@@ -94,6 +110,7 @@ def build_sieve(limit: int) -> PrimeTable:
         limit=limit,
         is_prime=sieve,
         pi_prefix=pi_prefix,
+        primes=primes,
         s1_prefix=np.concatenate(([0], np.cumsum(one // primes))),
         s2_prefix=np.concatenate(([0], np.cumsum(one // (primes * primes)))),
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -222,6 +223,38 @@ def test_pair_sweeps_match_every_pair():
                 _sq_every_pair(table, lo, hi), (lo, hi)
         assert bounds.verify_recip_bounds_all(table, lo, hi) == \
             _recip_every_pair(table, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_step_blocks_match_every_x_and_pair(block, monkeypatch):
+    # blocks of 1, 2 and 3 primes put a block edge at every step end,
+    # the lo and hi repeats and the 2 -> 3 step among them; the two
+    # tests above run at the default size
+    monkeypatch.setattr(bounds, "_STEP_BLOCK", block)
+    test_pi_bounds_range_matches_every_x()
+    test_pair_sweeps_match_every_pair()
+
+
+def test_step_sweeps_memory_does_not_grow_with_the_table():
+    # the sweeps hold one block of step ends at a time, so a table with
+    # four times the primes leaves each traced peak where it was
+    peaks = []
+    for limit in (10**6, 4 * 10**6):
+        table = primes.build_sieve(limit)
+        row = []
+        for sweep in (bounds.verify_pi_bounds_range,
+                      bounds.verify_recip_sq_upper_all,
+                      bounds.verify_recip_bounds_all):
+            tracemalloc.start()
+            try:
+                assert sweep(table).holds
+                row.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(row)
+        del table
+    for small, large in zip(*peaks):
+        assert abs(large - small) <= 0.1 * small, peaks
 
 
 def test_report_shapes(table_small):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -362,3 +363,13 @@ def test_density_runaway_window_is_usage_error(hi, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: window (1.0, ")
+
+
+def test_window_past_1e14_is_quick_usage_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["density", "--n", "5", "--window", "1e16", "1.00000000000001e16"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "floor(hi) <= 100000000000000" in err

@@ -175,6 +175,29 @@ def test_prime_window_against_trial_division(lo, width):
     assert exact.prime_window(lo, hi).primes == want
 
 
+@given(lo=st.integers(10**10 - 10**4, 10**10 + 10**4), width=st.integers(0, 120))
+@settings(max_examples=15)
+@example(lo=10**10 - 1, width=120)
+@example(lo=10**10 + 18, width=1)
+def test_prime_window_near_1e10_against_trial_division(lo, width):
+    # every base prime above the span strikes in the vectorised pass
+    hi = lo + width
+    want = tuple(k for k in range(lo + 1, hi + 1) if primes.is_prime_trial(k))
+    assert exact.prime_window(lo, hi).primes == want
+
+
+def test_prime_window_cap():
+    # hi up to 10**14 is sieved (the primes below are from trial
+    # division); past it the window is refused before anything is
+    # allocated
+    assert exact.prime_window(10**14 - 100, 10**14).primes == (
+        99999999999923, 99999999999929, 99999999999931,
+        99999999999959, 99999999999971, 99999999999973)
+    for lo, hi in ((10**14, 10**14 + 1), (1e16, 1e16 + 100)):
+        with pytest.raises(ValueError, match="floor[(]hi[)] <= 100000000000000"):
+            exact.prime_window(lo, hi)
+
+
 def test_prime_window_with_table(table_small, table_large):
     # the window's own sieve against the table's
     for lo, hi in ((1, 2), (2.5, 29), (100, 200), (1, 10_000)):

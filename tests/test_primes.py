@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,23 @@ def test_primes_between_floor_semantics(table_small):
     assert table_small.primes_between(2.9, 3.1).tolist() == [3]
     assert table_small.primes_between(7, 7).tolist() == []
     assert table_small.primes_between(6.99, 7.0).tolist() == [7]
+
+
+@given(st.floats(min_value=0.0, max_value=10_000.0),
+       st.floats(min_value=0.0, max_value=10_000.0))
+@example(0.0, 0.0)
+@example(0.0, 10_000.0)
+@example(2.0, 3.0)
+@example(9_972.5, 10_000.0)
+def test_primes_between_is_a_slice_of_the_sieve(table_small, x, y):
+    a, b = min(x, y), max(x, y)
+    got = table_small.primes_between(a, b)
+    ia, ib = math.floor(a), math.floor(b)
+    want = np.flatnonzero(table_small.is_prime[ia + 1 : ib + 1]) + ia + 1
+    assert got.tolist() == want.tolist()
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[:1] = 4
 
 
 @given(st.integers(min_value=2, max_value=9000),
