@@ -644,6 +644,10 @@ class FloorSweep:
 # millisecond each.  Ten covers the nine degrees below 1/19 up to 720000.
 FLOOR_EXACT_EXCEPTIONS = 10
 
+# The floor sweep decides _FLOOR_BLOCK degrees at a time, lowest first,
+# so its temporaries stay a few MB whatever n_max.
+_FLOOR_BLOCK = 1 << 16
+
 
 def density_floor_sweep(
     table: PrimeTable,
@@ -659,7 +663,9 @@ def density_floor_sweep(
     the fixed-point sum over its count primes and T = 2**60 * threshold,
     S + count < T certifies a failure and S >= T a pass; only degrees in
     between get an exact rational sum, as do the reported exceptions.
-    The exact sums are carried from degree to degree in one ascending
+    The degrees are decided in ascending blocks of _FLOOR_BLOCK, which
+    carry the counts, the exceptions and the minimum, and the exact sums
+    are carried from degree to degree in one ascending
     :class:`~precycles.primes.RecipSumWalk`, so a sweep pays for one
     fresh sum and a few primes per later degree.  ``escalations``
     counts the degrees summed exactly.
@@ -670,42 +676,54 @@ def density_floor_sweep(
         raise ValueError(f"n_max {n_max} exceeds sieve limit {table.limit}")
     t = Fraction(threshold)
     target = -((-t.numerator << FIXED_BITS) // t.denominator)  # ceil(2**60 t)
-    ns = np.arange(5, n_max + 1)
-    hi_idx = table.pi_prefix[ns - 3]
-    lo_idx = table.pi_prefix[ns // 2]
-    sums = table.s1_prefix[hi_idx] - table.s1_prefix[lo_idx]
-    below = sums + (hi_idx - lo_idx) < target
-    undecided = ~below & (sums < target)
-    # One ascending walk over the degrees that need exact sums: each
-    # undecided degree, and the first FLOOR_EXACT_EXCEPTIONS failures,
-    # which lie among the undecided and the first that many certified.
+    # The minimum is reported over the asserted range n >= 11, or at
+    # n_max alone when the sweep stops earlier.
+    min_from = min(11, n_max)
+    min_sum = argmin_n = None
     floor_sum = RecipSumWalk(table)
     exceptions = []
-    escalations = 0
-    candidates = np.union1d(np.flatnonzero(undecided),
-                            np.flatnonzero(below)[:FLOOR_EXACT_EXCEPTIONS])
-    for i in candidates.tolist():
-        if not undecided[i] and len(exceptions) == FLOOR_EXACT_EXCEPTIONS:
-            continue
-        n = i + 5
-        exact = floor_sum(n // 2, n - 3)
-        escalations += 1
-        if undecided[i]:
-            below[i] = exact < t
-        if below[i] and len(exceptions) < FLOOR_EXACT_EXCEPTIONS:
-            exceptions.append(FloorRecord(n, float(sums[i]) * FIXED_UNIT, exact))
-    # Report the minimum over the asserted range n >= 11 (or the whole
-    # sweep when it stops earlier).
-    lo = min(11 - 5, len(sums) - 1)
-    k = lo + int(np.argmin(sums[lo:]))
+    escalations = below_count = 0
+    holds_from_11 = True
+    for a in range(5, n_max + 1, _FLOOR_BLOCK):
+        b = min(a + _FLOOR_BLOCK, n_max + 1)  # the degrees a..b-1
+        # pi(n - 3) and pi(n // 2) as slices; n // 2 takes each value twice
+        hi_idx = table.pi_prefix[a - 3 : b - 3]
+        lo_idx = table.pi_prefix[a // 2 : (b - 1) // 2 + 1].repeat(2)[a % 2 :][: b - a]
+        sums = table.s1_prefix[hi_idx] - table.s1_prefix[lo_idx]
+        below = sums + (hi_idx - lo_idx) < target
+        undecided = ~below & (sums < target)
+        # Exact sums, in ascending order: each undecided degree, and the
+        # failures while fewer than FLOOR_EXACT_EXCEPTIONS are reported,
+        # which lie among the undecided and the block's first that many
+        # certified.
+        exact_at = np.union1d(
+            np.flatnonzero(undecided),
+            np.flatnonzero(below)[: FLOOR_EXACT_EXCEPTIONS - len(exceptions)])
+        for i in exact_at.tolist():
+            if not undecided[i] and len(exceptions) == FLOOR_EXACT_EXCEPTIONS:
+                continue
+            n = a + i
+            exact = floor_sum(n // 2, n - 3)
+            escalations += 1
+            if undecided[i]:
+                below[i] = exact < t
+            if below[i] and len(exceptions) < FLOOR_EXACT_EXCEPTIONS:
+                exceptions.append(FloorRecord(n, float(sums[i]) * FIXED_UNIT, exact))
+        below_count += int(np.count_nonzero(below))
+        holds_from_11 = holds_from_11 and not below[max(11 - a, 0) :].any()
+        if b > min_from:
+            k = max(min_from - a, 0)
+            k += int(np.argmin(sums[k:]))
+            if min_sum is None or sums[k] < min_sum:
+                min_sum, argmin_n = int(sums[k]), a + k
     return FloorSweep(
         n_max=n_max,
         threshold=threshold,
         exceptions=tuple(exceptions),
-        below_count=int(below.sum()),
-        holds_from_11=not below[11 - 5 :].any(),
-        min_value=float(sums[k]) * FIXED_UNIT,
-        argmin_n=k + 5,
+        below_count=below_count,
+        holds_from_11=holds_from_11,
+        min_value=float(min_sum) * FIXED_UNIT,
+        argmin_n=argmin_n,
         escalations=escalations,
     )
 

@@ -4,15 +4,23 @@ A permutation g of degree n "powers to a k-cycle" when some power g**e
 is a single k-cycle fixing everything else.  That holds exactly when g
 has one cycle of length k and every other cycle length is coprime to k;
 this module finds those target lengths and constructs the witness power
-from the cycle decomposition.  Cycle types, A_n parity and the witness's
-cycle come from whole-array numpy passes over the images: pointer
-doubling labels every point with the smallest point of its cycle, so no
-Python loop runs over all n points.  Each permutation labels its cycles
-at most once and caches only what that gives in a few ints: the cycle
-type and, for each cycle length, the smallest point of one cycle of
-that length (its leader), from which the witness walks.  Sampling A_n
-rejects odd draws from their raw images, before any permutation is
-built, and the accepted draw's labelling fills the cache.
+from the cycle decomposition.
+
+A permutation holds its images as one read-only ``np.intp`` array of
+0-based images, 8 bytes per point; the tuple of 1-based Python ints
+(about 36 bytes per point) is built only when ``images`` is read.
+Public construction converts the images once, and that array is both
+checked and kept; a uniform draw keeps the generator's array, and a
+witness is one scatter into a fresh one.  Cycle types, A_n parity and
+the witness's cycle come from whole-array numpy passes over the array:
+pointer doubling labels every point with the smallest point of its
+cycle, so no Python loop runs over all n points.  Each permutation
+labels its cycles at most once and caches only what that gives in a
+few ints: the cycle type and, for each cycle length, the smallest point
+of one cycle of that length (its leader), from which the witness walks.
+Sampling A_n rejects odd draws from their raw images, before any
+permutation is built, and the accepted draw's labelling fills the
+cache.  Cycle notation labels and ranks only the moved points.
 
 Points are 1-based everywhere in the public API, matching the two text
 notations: disjoint cycles ``(1,2,3)(4,5)`` and one-line images
@@ -25,6 +33,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -85,65 +94,105 @@ class CycleType:
         return -1 if (self.n - self.num_cycles) % 2 else 1
 
 
-@dataclass(frozen=True)
 class Permutation:
-    """A permutation of {1..n} stored as the tuple of images of 1..n."""
+    """A permutation of {1..n}, stored as ``array``: the read-only
+    ``np.intp`` array of its 0-based images, 8 bytes per point.
 
-    images: tuple[int, ...]
+    ``images`` is the tuple of the 1-based images of 1..n as Python
+    ints, built on first access and then cached.  Equality and hashing
+    compare the images.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        images = self.images
+    def __init__(self, images: Sequence[int]) -> None:
         n = len(images)
         if n > DEGREE_CAP:
             raise ValueError(f"degree {n} exceeds cap {DEGREE_CAP}")
-        if n and not _is_bijection(images):
+        f = _image_array(images)
+        if f is None:
             _raise_first_fault(images)
+        f.flags.writeable = False
+        object.__setattr__(self, "array", f)
 
     @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
-        """Wrap images that are a bijection onto 1..n by construction,
-        skipping every check of public construction."""
+    def _trusted(cls, f: np.ndarray) -> Permutation:
+        """Wrap 0-based images f that are a bijection onto 0..n-1 by
+        construction, skipping every check of public construction; f is
+        kept, not copied, and made read-only."""
         g = object.__new__(cls)
-        object.__setattr__(g, "images", images)
+        f = np.asarray(f, np.intp)
+        f.flags.writeable = False
+        object.__setattr__(g, "array", f)
         return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Permutation")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Permutation")
+
+    def __reduce__(self):
+        return Permutation._trusted, (self.array,)
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash(self.array.tobytes())
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
+
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        """The images of 1..n as Python ints, built once on first access."""
+        return tuple((self.array + 1).tolist())
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.array)
 
     def __call__(self, point: int) -> int:
-        return self.images[point - 1]
+        return self.array.item(point - 1) + 1
 
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles (fixed points included), each starting at its
         smallest point, ordered by that point."""
-        return _cycle_lists(self, 1)
+        cycles = _cycle_lists(self.array)
+        fixed = np.flatnonzero(self.array == np.arange(self.degree)) + 1
+        cycles += ([p] for p in fixed.tolist())
+        cycles.sort()  # two ascending runs, merged by one pass
+        return cycles
 
     @cached_property
     def _labelling(self) -> tuple[CycleType, dict[int, int]]:
         """The cycle type and the leader of each cycle length, from one
         labelling of the cycles per instance."""
-        return _summarise(self.degree, _cycle_sizes(_zero_based(self)))
+        return _summarise(self.degree, _cycle_sizes(self.array))
 
     @property
     def cycle_type(self) -> CycleType:
         return self._labelling[0]
 
 
-def _is_bijection(images: tuple) -> bool:
-    """Whether the non-empty images are ints forming a bijection onto
-    1..n, by whole-array passes."""
+def _image_array(images: Sequence) -> np.ndarray | None:
+    """The 0-based images as a new intp array when the images are ints
+    forming a bijection onto 1..n, else None, by whole-array passes."""
     n = len(images)
     if not all(issubclass(t, int) for t in set(map(type, images))):
-        return False
+        return None
     try:
         f = np.fromiter(images, np.intp, n)
     except OverflowError:
-        return False
-    return f.min() >= 1 and f.max() <= n and np.count_nonzero(np.bincount(f)) == n
+        return None
+    f -= 1
+    if n and not (f.min() >= 0 and f.max() < n and np.count_nonzero(np.bincount(f)) == n):
+        return None
+    return f
 
 
-def _raise_first_fault(images: tuple) -> None:
+def _raise_first_fault(images: Sequence) -> None:
     """Raise ValueError naming the first image that is not an int in
     1..n or that repeats an earlier one."""
     n = len(images)
@@ -154,10 +203,6 @@ def _raise_first_fault(images: tuple) -> None:
         if seen[v - 1]:
             raise ValueError(f"image {v} repeated; not a bijection")
         seen[v - 1] = 1
-
-
-def _zero_based(g: Permutation) -> np.ndarray:
-    return np.fromiter(g.images, np.intp, g.degree) - 1
 
 
 def _labels(f: np.ndarray) -> np.ndarray:
@@ -183,31 +228,37 @@ def _cycle_sizes(f: np.ndarray) -> np.ndarray:
     return np.bincount(_labels(f))
 
 
-def _cycle_lists(g: Permutation, shortest: int) -> list[list[int]]:
-    """The cycles of g with at least ``shortest`` >= 1 points, each from
-    its smallest point, ordered by that point.
+def _cycle_lists(f: np.ndarray) -> list[list[int]]:
+    """The cycles of the 0-based images f that move points, as 1-based
+    lists, each from its smallest point, ordered by that point.
 
-    List ranking on top of the labelling: cutting each cycle just before
-    its smallest point leaves a path, pointer doubling counts every
-    point's steps to the end of its path (as many rounds as the longest
-    cycle needs), and that count and the label place each point in the
-    output with one scatter.
+    Only the moved points are labelled and ranked, as the permutation h
+    that f induces on their ascending list, with each point renamed by
+    its rank there (which keeps their order, so the smallest point of
+    each cycle stays its smallest).  List ranking on
+    top of the labelling: cutting each cycle just before its smallest
+    point leaves a path, pointer doubling counts every point's steps to
+    the end of its path (as many rounds as the longest cycle needs), and
+    that count and the label place each point in the output with one
+    scatter.
     """
-    n = g.degree
-    f = _zero_based(g)
-    labels = _labels(f)
+    moved = np.flatnonzero(f != np.arange(len(f)))
+    rank = np.empty(len(f), np.intp)
+    rank[moved] = np.arange(len(moved))
+    h = rank[f[moved]]
+    labels = _labels(h)
     sizes = np.bincount(labels)
     ends = np.cumsum(sizes)
-    points = np.arange(n)
-    succ = np.where(f == labels, points, f)  # path ends point to themselves
+    points = np.arange(len(h))
+    succ = np.where(h == labels, points, h)  # path ends point to themselves
     steps = (succ != points).astype(np.intp)
     for _ in range((int(sizes.max(initial=1)) - 1).bit_length()):
         steps += steps[succ]
         succ = succ[succ]
-    order = np.empty(n, np.intp)
+    order = np.empty(len(h), np.intp)
     order[ends[labels] - 1 - steps] = points
-    flat = (order + 1).tolist()
-    kept = sizes >= shortest
+    flat = (moved[order] + 1).tolist()
+    kept = sizes > 0
     return [flat[b - k:b] for k, b in zip(sizes[kept].tolist(), ends[kept].tolist())]
 
 
@@ -225,7 +276,7 @@ def _summarise(n: int, sizes: np.ndarray) -> tuple[CycleType, dict[int, int]]:
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation._trusted(np.arange(n))
 
 
 def cycle_type(g: Permutation) -> CycleType:
@@ -254,8 +305,8 @@ def sample_uniform(
     draws on average).  Each draw's cycles are labelled once, from the
     raw array: that labelling gives the parity and, for the returned
     draw, the cached cycle type and leaders.  The returned permutation
-    skips the construction checks, since a shuffle of 1..n is a
-    bijection.
+    holds the raw array and skips the construction checks, since a
+    shuffle of 0..n-1 is a bijection.
     """
     check_sample_args(n, parity)
     gen = coerce_rng(rng)
@@ -264,7 +315,7 @@ def sample_uniform(
         sizes = _cycle_sizes(f)
         if parity == "any" or (n - np.count_nonzero(sizes)) % 2 == 0:
             # f is a bijection: Generator.permutation shuffles arange(n)
-            g = Permutation._trusted(tuple((f + 1).tolist()))
+            g = Permutation._trusted(f)
             g.__dict__["_labelling"] = _summarise(n, sizes)  # fills the cache
             return g
 
@@ -303,15 +354,15 @@ def extract_cycle_power(g: Permutation, k: int) -> tuple[int, Permutation]:
         raise ValueError(reason)
     ell = math.lcm(*(j for j, _ in t.parts if j != k))
     # walk the one k-cycle from its smallest point
-    images = g.images
-    cyc = [leaders[k]]
+    f = g.array
+    cyc = [leaders[k] - 1]
     while len(cyc) < k:
-        cyc.append(images[cyc[-1] - 1])
+        cyc.append(f.item(cyc[-1]))
     points = np.array(cyc)
-    out = np.arange(1, g.degree + 1)
-    out[points - 1] = np.roll(points, -(ell % k))
+    out = np.arange(g.degree)
+    out[points] = np.roll(points, -(ell % k))
     # a permutation of the points of one cycle of g, identity elsewhere
-    return ell, Permutation._trusted(tuple(out.tolist()))
+    return ell, Permutation._trusted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +372,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def format_one_line(g: Permutation) -> str:
-    return " ".join(str(v) for v in g.images)
+    return " ".join(map(str, (g.array + 1).tolist()))
 
 
 def parse_one_line(text: str) -> Permutation:
@@ -336,7 +387,7 @@ def parse_one_line(text: str) -> Permutation:
 
 
 def format_cycles(g: Permutation) -> str:
-    parts = ["(" + ",".join(map(str, cyc)) + ")" for cyc in _cycle_lists(g, 2)]
+    parts = ["(" + ",".join(map(str, cyc)) + ")" for cyc in _cycle_lists(g.array)]
     return "".join(parts) if parts else "()"
 
 

@@ -241,30 +241,31 @@ def run_recognizer(
 def _verify_witness(cyc: Permutation, p: int, n: int) -> None:
     """Raise AssertionError unless cyc is a single p-cycle of degree n.
 
-    Checked from the images alone, in O(n) and without the labelling
-    that found the cycle: exactly n - p points are fixed, and the orbit
-    of the first moved point first returns to it after exactly p steps.
-    Then that orbit is the p moved points, so the images are a bijection
-    and one p-cycle; the check covers witnesses built without the
-    construction checks.
+    Checked from the image array alone, in O(n) and without the
+    labelling that found the cycle: exactly n - p points are fixed, and
+    the orbit of the first moved point first returns to it after exactly
+    p steps, each step range-checked before it is followed.  Then that
+    orbit is the p moved points, so the images are a bijection and one
+    p-cycle; the check covers witnesses built without the construction
+    checks.
     """
-    images = cyc.images
-    if len(images) != n:
+    f = cyc.array
+    if len(f) != n:
         raise AssertionError(
-            f"witness verification failed: degree {len(images)}, expected {n}"
+            f"witness verification failed: degree {len(f)}, expected {n}"
         )
-    moved = np.flatnonzero(np.fromiter(images, np.intp, n) != np.arange(1, n + 1))
+    moved = np.flatnonzero(f != np.arange(n))
     if len(moved) != p:
         raise AssertionError(
             f"witness verification failed: {len(moved)} points moved, expected {p}"
         )
-    start = x = int(moved[0]) + 1
+    start = x = int(moved[0])
     for step in range(1, p + 1):
-        x = images[x - 1]
-        if x == start or not 1 <= x <= n:
+        x = f.item(x)
+        if x == start or not 0 <= x < n:
             break
     if x != start or step != p:
         raise AssertionError(
-            f"witness verification failed: the orbit of {start} does not "
+            f"witness verification failed: the orbit of {start + 1} does not "
             f"return to it after exactly {p} steps"
         )

@@ -370,6 +370,47 @@ def test_floor_record_json(table_small):
     assert d["exact"] == "0/1"
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_floor_blocks_match_one_block(block, table_small, monkeypatch):
+    # blocks of 1, 2 and 3 degrees put a block edge at every degree,
+    # among them the exceptions 5, 6, 7, the start of the asserted range
+    # at 11 and the tie between 11 and 12 at threshold 1/7
+    cases = [(n_max, t) for n_max in [*range(5, 13), 10**4]
+             for t in (Fraction(1, 19), Fraction(1, 7))]
+    whole = [bounds.density_floor_sweep(table_small, *case) for case in cases]
+    monkeypatch.setattr(bounds, "_FLOOR_BLOCK", block)
+    for case, want in zip(cases, whole):
+        assert bounds.density_floor_sweep(table_small, *case) == want, case
+
+
+@pytest.mark.parametrize("block", [239843, 190, 73, 236])
+def test_floor_blocks_match_at_the_benchmark_degree(block, table_large, monkeypatch):
+    # the certify benchmark sweeps to 719570..720000; these sizes start a
+    # block at 719534 (the minimum and the first late exception), between
+    # 719534 and 719535, at 719566 and at 719569
+    whole = bounds.density_floor_sweep(table_large, 719_800)
+    assert whole.argmin_n == 719534 and len(whole.exceptions) == 9
+    monkeypatch.setattr(bounds, "_FLOOR_BLOCK", block)
+    assert bounds.density_floor_sweep(table_large, 719_800) == whole
+
+
+def test_floor_sweep_memory_does_not_grow_with_the_table():
+    # the sweep holds one block of degrees at a time, so a table and a
+    # sweep four times as long leave its traced peak where it was
+    bounds.density_floor_sweep(primes.build_sieve(1000), 1000)  # imports
+    peaks = []
+    for limit in (10**6, 4 * 10**6):
+        table = primes.build_sieve(limit)
+        tracemalloc.start()
+        try:
+            bounds.density_floor_sweep(table, limit)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del table
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
+
 def test_window_density_lower_bound_desk_value():
     n = 10 ** 6
     v = bounds.window_density_lower_bound(

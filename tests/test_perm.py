@@ -1,7 +1,10 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -68,6 +71,86 @@ def test_permutation_accepts_bool_images():
     assert perm.Permutation((True,)) == perm.identity(1)
     g = perm.Permutation((2, True))
     assert perm.cycle_type(g).counts == {2: 1}
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=300),
+       st.sampled_from(["any", "even"]),
+       st.integers(min_value=0, max_value=2**32))
+def test_trusted_and_public_construction_agree(n, parity, seed):
+    """A draw and its witnesses skip the checks; each equals, and hashes
+    like, the same images built publicly, and differs from others."""
+    g = perm.sample_uniform(n, parity, seed)
+    trusted = [g] + [perm.extract_cycle_power(g, k)[1]
+                     for k in perm.pre_cycle_targets(g.cycle_type)]
+    for h in trusted:
+        public = perm.Permutation(tuple((h.array + 1).tolist()))
+        assert h == public and public == h
+        assert hash(h) == hash(public)
+        assert h.images == public.images
+    shifted = perm.Permutation(g.images[1:] + g.images[:1])
+    assert (g == shifted) == (n == 1)
+    assert g != g.images
+
+
+def test_images_and_calls_are_python_ints():
+    for g in (perm.Permutation((2, True, 3)), perm.sample_uniform(50, "even", 1),
+              perm.extract_cycle_power(perm.parse_cycles("(1,2,3)(4,5)", 6), 3)[1]):
+        assert type(g.images) is tuple
+        assert all(type(v) is int for v in g.images)
+        assert all(type(g(p)) is int and g(p) == v
+                   for p, v in enumerate(g.images, 1))
+        assert type(g.degree) is int
+    assert perm.Permutation((2, True, 3)).images == (2, 1, 3)
+
+
+def test_permutation_is_immutable():
+    g = perm.parse_cycles("(1,2,3)(4,5)", 6)
+    before = g.images
+    with pytest.raises(AttributeError):
+        g.images = (1, 2, 3, 4, 5, 6)
+    with pytest.raises(AttributeError):
+        g.array = np.arange(6)
+    with pytest.raises(AttributeError):
+        g.other = 1
+    with pytest.raises(AttributeError):
+        del g.array
+    for h in (g, perm.sample_uniform(6, "any", 0), perm.identity(6)):
+        with pytest.raises(ValueError):
+            h.array[0] = 5
+        with pytest.raises(ValueError):
+            h.array[:] = h.array[::-1]
+    assert g.images == before and g(1) == 2
+
+
+@pytest.mark.parametrize("g", [
+    perm.parse_cycles("(1,2,3)(4,5)", 6),
+    perm.sample_uniform(1000, "even", 3),
+    perm.identity(0),
+])
+def test_copy_and_pickle_round_trip(g):
+    g.cycle_type  # fills the cache, which a copy need not carry
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(h) is perm.Permutation
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert not h.array.flags.writeable
+        assert h.cycle_type == g.cycle_type
+
+
+def test_permutations_hold_one_intp_per_point():
+    n = 10**5
+    rng = np.random.default_rng(12)
+    perm.sample_uniform(8, "even", rng)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        held = [perm.sample_uniform(n, parity, rng) for parity in ("any", "even") * 3]
+        held += [perm.Permutation(tuple((rng.permutation(n) + 1).tolist()))
+                 for _ in range(4)]
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 10
+    assert current < 10 * len(held) * n, current / (len(held) * n)
 
 
 def test_cycles_ordered_by_smallest_point():

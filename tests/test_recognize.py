@@ -219,6 +219,11 @@ def test_verify_witness_accepts_single_cycles(text, n, p):
     recognize._verify_witness(perm.parse_cycles(text, n), p, n)
 
 
+def _unchecked(*images) -> perm.Permutation:
+    """A permutation of the 1-based images, built without the checks."""
+    return perm.Permutation._trusted(np.array(images) - 1)
+
+
 @pytest.mark.parametrize("cyc, p, n", [
     # two p-cycles
     (perm.parse_cycles("(1,2,3)(4,5,6)", 9), 3, 9),
@@ -232,12 +237,12 @@ def test_verify_witness_accepts_single_cycles(text, n, p):
     (perm.parse_cycles("(1,2)(3,4,5)", 9), 5, 9),
     (perm.parse_cycles("(5,6)(1,2,3,4)", 9), 6, 9),
     # n - p fixed points, but 1 -> 2 -> 3 -> 2: the orbit never closes
-    (perm.Permutation._trusted((2, 3, 2, 4, 5, 6, 7)), 3, 7),
+    (_unchecked(2, 3, 2, 4, 5, 6, 7), 3, 7),
     # n - p fixed points, but an image leaves 1..n
-    (perm.Permutation._trusted((2, 3, 0, 4, 5)), 3, 5),
-    (perm.Permutation._trusted((2, 3, 6, 4, 5)), 3, 5),
-    # ... and 2 -> 0 would wrap round to 5 -> 1 as a tuple index
-    (perm.Permutation._trusted((2, 0, 3, 4, 1)), 3, 5),
+    (_unchecked(2, 3, 0, 4, 5), 3, 5),
+    (_unchecked(2, 3, 6, 4, 5), 3, 5),
+    # ... and 2 -> 0 would wrap round to 5 -> 1 as an array index
+    (_unchecked(2, 0, 3, 4, 1), 3, 5),
     # the wrong degree
     (perm.parse_cycles("(1,2,3)", 8), 3, 9),
 ])
