@@ -304,8 +304,8 @@ _STEP_BLOCK = 1 << 15
 
 
 def _step_blocks(table: PrimeTable, lo: int, hi: int):
-    """Yield (xs, base, top) for blocks of the step ends of [lo, hi],
-    the highest block first.
+    """Yield (xs, pis, base, top) for blocks of the step ends of [lo, hi],
+    the highest block first, with pis[i] = pi(xs[i]).
 
     The step ends are lo, hi, and p - 1 and p for every prime
     lo < p <= hi, ascending and without repeats: both ends of every step
@@ -313,19 +313,28 @@ def _step_blocks(table: PrimeTable, lo: int, hi: int):
     _STEP_BLOCK of those primes holds the step ends in (base, top], with
     base the prime below the block (lo - 1 for the lowest block) and top
     its own last prime (hi for the highest block), so the blocks cover
-    the integers of [lo, hi] once each.
+    the integers of [lo, hi] once each.  pi comes from the prime indices:
+    the prime at index k of ``table.primes`` has pi(p - 1) = k and
+    pi(p) = k + 1.
     """
-    ps = table.primes_between(lo, hi)
+    k_lo, k_hi = table.pi(lo), table.pi(hi)
+    ps = table.primes[k_lo:k_hi]
     for j1 in range(len(ps), 0, -_STEP_BLOCK) or (0,):
         j0 = max(j1 - _STEP_BLOCK, 0)
         base = int(ps[j0 - 1]) if j0 else lo - 1
         top = int(ps[j1 - 1]) if j1 < len(ps) else hi
         ends = np.repeat(ps[j0:j1], 2)
         ends[::2] -= 1
+        counts = np.repeat(np.arange(k_lo + j0, k_lo + j1, dtype=np.int64), 2)
+        counts[1::2] += 1
         # base leads only for the comparison, which drops each repeated
-        # end, and the end 3 - 1 when 2 tops the block below
-        xs = np.concatenate(([base] if j0 else [base, lo], ends, [top]))
-        yield xs[1:][xs[1:] > xs[:-1]], base, top
+        # end, and the end 3 - 1 when 2 tops the block below; pi is
+        # k_lo + j0 at base (lo - 1 aside) and at lo, k_lo + j1 at top
+        head = [base] if j0 else [base, lo]
+        xs = np.concatenate((head, ends, [top]))
+        pis = np.concatenate(([k_lo + j0] * len(head), counts, [k_lo + j1]))
+        keep = xs[1:] > xs[:-1]
+        yield xs[1:][keep], pis[1:][keep], base, top
 
 
 def _suffix_max(xs: np.ndarray, values: np.ndarray, carry: tuple):
@@ -373,9 +382,9 @@ def verify_recip_sq_upper_all(
     if not 12 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 12 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
     carry, parts = (-math.inf, None), []
-    for xs, base, top in _step_blocks(table, a_lo, b_hi):
+    for xs, pis, base, top in _step_blocks(table, a_lo, b_hi):
         g, f = _sq_terms(xs, np.log, float)
-        s2 = table.s2_prefix[table.pi_prefix[xs]] * FIXED_UNIT
+        s2 = table.s2_prefix[pis] * FIXED_UNIT
         f += s2
         g += s2
         f_max, pair, carry = _suffix_max(xs, f, carry)
@@ -409,9 +418,9 @@ def verify_recip_bounds_all(
         raise ValueError(f"need 2 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
     low_carry = high_carry = (-math.inf, None)
     lows, highs = [], []
-    for xs, base, top in _step_blocks(table, a_lo, b_hi):
+    for xs, pis, base, top in _step_blocks(table, a_lo, b_hi):
         loglogs, halves, inv2 = _recip_terms(xs, np.log, float)
-        s1 = table.s1_prefix[table.pi_prefix[xs]] * FIXED_UNIT
+        s1 = table.s1_prefix[pis] * FIXED_UNIT
         plus = s1 - loglogs + halves
         minus = s1 - loglogs - inv2
         neg_min, low_pair, low_carry = _suffix_max(xs, -plus, low_carry)
@@ -467,7 +476,7 @@ def _check_pi_bounds(table: PrimeTable, x: int) -> BoundReport:
         raise ValueError(f"prime-count bounds require x >= 11, got {x}")
     if x > table.limit:
         raise ValueError(f"x={x} exceeds sieve limit {table.limit}")
-    pi_x = int(table.pi_prefix[x])
+    pi_x = table.pi(x)
     lo, hi = _pi_terms(x, math.log, float)
     reports = (
         _report("pi_lower", {"x": x}, lo, float(pi_x), strict=False,
@@ -497,9 +506,9 @@ def verify_pi_bounds_range(
     if not 11 <= lo <= hi <= table.limit:
         raise ValueError(f"need 11 <= lo <= hi <= limit, got {lo}, {hi}")
     parts = []
-    for xs, base, top in _step_blocks(table, lo, hi):
+    for xs, pis, base, top in _step_blocks(table, lo, hi):
         lower, upper = _pi_terms(xs, np.log, float)
-        pis = table.pi_prefix[xs].astype(float)
+        pis = pis.astype(float)
         parts.append(_finish_sweep(
             "pi_bounds_range", np.minimum(pis - lower, upper - pis), MARGIN,
             top - base, lambda i: {"x": int(xs[i])},
@@ -613,6 +622,14 @@ class FloorRecord:
     value: float
     exact: Fraction
 
+    def __repr__(self) -> str:
+        # The dataclass repr, with exact written by decimal_str: near
+        # n = 10**6 its numerator and denominator pass the interpreter's
+        # cap on int-to-str digits.
+        num, den = fraction_str(self.exact).split("/")
+        return (f"{type(self).__qualname__}(n={self.n!r}, value={self.value!r}, "
+                f"exact=Fraction({num}, {den}))")
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -686,9 +703,9 @@ def density_floor_sweep(
     holds_from_11 = True
     for a in range(5, n_max + 1, _FLOOR_BLOCK):
         b = min(a + _FLOOR_BLOCK, n_max + 1)  # the degrees a..b-1
-        # pi(n - 3) and pi(n // 2) as slices; n // 2 takes each value twice
-        hi_idx = table.pi_prefix[a - 3 : b - 3]
-        lo_idx = table.pi_prefix[a // 2 : (b - 1) // 2 + 1].repeat(2)[a % 2 :][: b - a]
+        # pi(n - 3) and pi(n // 2) as runs; n // 2 takes each value twice
+        hi_idx = table.pi_run(a - 3, b - 3)
+        lo_idx = table.pi_run(a // 2, (b - 1) // 2 + 1).repeat(2)[a % 2 :][: b - a]
         sums = table.s1_prefix[hi_idx] - table.s1_prefix[lo_idx]
         below = sums + (hi_idx - lo_idx) < target
         undecided = ~below & (sums < target)

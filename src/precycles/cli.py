@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import exact, montecarlo, primes, recognize
-from .primes import fraction_str
+from .primes import decimal_str, fraction_str
 
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
@@ -37,6 +37,12 @@ def rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+
+
+def _qstr(q: Fraction) -> str:
+    """str(q), written by :func:`decimal_str`: exact values can pass the
+    interpreter's cap on int-to-str digits."""
+    return decimal_str(q.numerator) if q.denominator == 1 else fraction_str(q)
 
 
 def _jsonable(x):
@@ -114,7 +120,7 @@ def cmd_density(ns) -> int:
         emit(
             ns,
             {"kind": "coprime-order", "m": m, "p": p, "value": value},
-            [f"coprime-order density sigma({m}; {p}) = {value} "
+            [f"coprime-order density sigma({m}; {p}) = {_qstr(value)} "
              f"~ {float(value):.6g}"],
         )
         return 0
@@ -126,7 +132,7 @@ def cmd_density(ns) -> int:
             ns,
             {"kind": "pre-cycle", "n": ns.n, "p": ns.p, "group": "sym",
              "value": value},
-            [f"pre-{ns.p}-cycle density in S_{ns.n} = {value} "
+            [f"pre-{ns.p}-cycle density in S_{ns.n} = {_qstr(value)} "
              f"~ {float(value):.6g}"],
         )
         return 0
@@ -136,7 +142,7 @@ def cmd_density(ns) -> int:
             ns,
             {"kind": "cycle-support", "n": ns.n, "value": value},
             [f"proportion of S_{ns.n} powering to some nontrivial cycle "
-             f"= {value} ~ {float(value):.6g}"],
+             f"= {_qstr(value)} ~ {float(value):.6g}"],
         )
         return 0
     lo, hi = ns.window
@@ -150,10 +156,10 @@ def cmd_density(ns) -> int:
          "window": [lo, hi], "primes": list(window.primes),
          "value": value, "hit": stats.hit, "repeat": stats.repeat},
         [f"primes in ({lo}, {hi}]: {list(window.primes)}",
-         f"pre-p-cycle proportion of {group_name}_{ns.n} = {value} "
+         f"pre-p-cycle proportion of {group_name}_{ns.n} = {_qstr(value)} "
          f"~ {float(value):.6g}",
-         f"hit proportion = {stats.hit} ~ {float(stats.hit):.6g}",
-         f"repeat proportion = {stats.repeat} ~ {float(stats.repeat):.6g}"],
+         f"hit proportion = {_qstr(stats.hit)} ~ {float(stats.hit):.6g}",
+         f"repeat proportion = {_qstr(stats.repeat)} ~ {float(stats.repeat):.6g}"],
     )
     return 0
 
@@ -171,8 +177,8 @@ def cmd_avoid(ns) -> int:
     group_name = "A" if ns.group == "alt" else "S"
     lines = [
         f"avoidance proportion in {group_name}_{ns.n} of lengths "
-        f"{sorted(ns.lengths)} = {value} ~ {float(value):.6g}",
-        f"mu = {mu} ~ {float(mu):.6g}",
+        f"{sorted(ns.lengths)} = {_qstr(value)} ~ {float(value):.6g}",
+        f"mu = {_qstr(mu)} ~ {float(mu):.6g}",
         f"bounds: 1/mu = {ab.mu_inverse:.6g}, e^(1-mu) = "
         f"{ab.e_one_minus_mu:.6g}, e^(gamma-mu) = {ab.e_gamma_minus_mu:.6g}",
         f"certified <= {factor} * e^(gamma-mu): {certified}",
@@ -616,10 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    # Exact rationals are written in full: a floor exception near
-    # n = 10**6 has about 156,000 digits a side.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         return ns.func(ns)
     except (ValueError, OSError, recognize.SourceError) as exc:

@@ -8,6 +8,11 @@ sweep.  Their closed forms and verdicts live in :mod:`precycles.bounds`:
 floats where the margin is wide, and otherwise the exact sums from here
 against the closed form at 50, then 200 digits.
 
+A table holds only its primes and two prefix sums over them, 24 bytes
+per prime.  pi(x) is the position of x in the ascending prime list: a
+bisection for one x, and for a run of consecutive integers one
+bisection, then the run's primes marked and summed.
+
 The prefix sums are integers, running sums of floor(2**60 / p) and
 floor(2**60 / p**2) over the primes.  Each floor loses less than one
 unit, so where two entries differ by S over count primes the true sum
@@ -15,9 +20,11 @@ lies in [S, S + count] / 2**60: a certified bracket from integers alone.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,46 +33,97 @@ import numpy as np
 FIXED_BITS = 60
 FIXED_UNIT = 2.0**-FIXED_BITS
 
+# The largest sieve limit build_sieve accepts: about 140 MB held (24
+# bytes for each of the 5.76 million primes below 10**8), which is also
+# about the peak of the build.
+SIEVE_CAP = 10**8
+
+
+# build_sieve sieves _SIEVE_SEGMENT integers at a time, so its bool
+# arrays take 2 MB whatever the limit.  Freeing one bool array over the
+# whole range would also raise glibc's dynamic mmap threshold to its
+# size, and later arrays below that size would then fragment the heap.
+_SIEVE_SEGMENT = 1 << 21
+
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` plus prefix-sum arrays.
+    """The primes up to ``limit`` and their fixed-point prefix sums.
 
-    ``is_prime`` and ``pi_prefix`` are indexed by x: ``pi_prefix[x]``
-    counts primes <= x, in int32: pi(x) stays below 2**31 up to
-    x = 5 * 10**10, where ``pi_prefix`` alone would take 200 GB, so no
-    sieve that fits in memory overflows it.  ``primes`` lists the primes
-    up to ``limit`` ascending, so the primes of (a, b] are the slice
-    ``primes[pi(a):pi(b)]``.  It is int64, the type the prefix sums
-    are built in: their terms take p * p, which passes 2**31 from
-    p = 46349 on.  ``s1_prefix[j]`` and ``s2_prefix[j]`` sum
-    floor(2**60 / p) and floor(2**60 / p**2) over the first j primes.
-    All arrays are read-only; a table can be shared freely between
-    threads.
+    ``primes`` lists the primes up to ``limit`` ascending, so pi(x) is
+    the number of entries <= x and the primes of (a, b] are the slice
+    ``primes[pi(a):pi(b)]``.  It is int64, the type the prefix sums are
+    built in: their terms take p * p, which passes 2**31 from p = 46349
+    on.  ``s1_prefix[j]`` and ``s2_prefix[j]`` sum floor(2**60 / p) and
+    floor(2**60 / p**2) over the first j primes.  All arrays are
+    read-only; a table can be shared freely between threads, and it
+    pickles and copies as these four fields.
+
+    ``is_prime`` and the int32 prime count per index are derived from
+    ``primes`` on first read and cached, at 5 bytes per integer up to
+    ``limit``; nothing in this package reads them.
     """
 
     limit: int
-    is_prime: np.ndarray
-    pi_prefix: np.ndarray
     primes: np.ndarray
     s1_prefix: np.ndarray
     s2_prefix: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.is_prime, self.pi_prefix, self.primes,
-                    self.s1_prefix, self.s2_prefix):
+        for arr in (self.primes, self.s1_prefix, self.s2_prefix):
             arr.setflags(write=False)
 
+    def __reduce__(self):
+        # Through the constructor, so a copy is read-only again and drops
+        # the derived arrays.
+        return type(self), (self.limit, self.primes, self.s1_prefix, self.s2_prefix)
+
     def pi(self, x: float) -> int:
-        """pi(x): the number of primes <= x, for 0 <= x <= limit."""
-        ix = _floor_index(x, self.limit)
-        return int(self.pi_prefix[ix])
+        """pi(x): the number of primes <= x, for 0 <= x < limit + 1."""
+        return self._count(_floor_index(x, self.limit))
 
     def primes_between(self, a: float, b: float) -> np.ndarray:
         """All primes p with a < p <= b, ascending: a read-only view of
         ``primes``."""
+        ka, kb = self._count_range(a, b)
+        return self.primes[ka:kb]
+
+    def pi_run(self, lo: int, hi: int) -> np.ndarray:
+        """pi(x) for the integers lo <= x < hi, as int64: pi(lo - 1) by
+        bisection, plus a running count of the primes of [lo, hi)."""
+        if not 0 <= lo <= hi <= self.limit + 1:
+            raise ValueError(f"need 0 <= lo <= hi <= limit + 1, got {lo}, {hi}")
+        k0, k1 = self._count(lo - 1), self._count(hi - 1)
+        out = np.zeros(hi - lo, dtype=np.int64)
+        out[self.primes[k0:k1] - lo] = 1
+        if hi > lo:
+            out[0] += k0
+        return np.cumsum(out, out=out)
+
+    @cached_property
+    def is_prime(self) -> np.ndarray:
+        """Read-only bool array over 0..limit, True at the primes."""
+        out = np.zeros(self.limit + 1, dtype=bool)
+        out[self.primes] = True
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def pi_prefix(self) -> np.ndarray:
+        """Read-only int32 array of pi(x) for 0 <= x <= limit: pi stays
+        below 2**31 up to x = 5 * 10**10, far past ``SIEVE_CAP``."""
+        out = np.cumsum(self.is_prime, dtype=np.int32)
+        out.setflags(write=False)
+        return out
+
+    def _count(self, ix: int) -> int:
+        """pi(ix) for an int ix, unchecked: a bisection of ``primes``."""
+        return bisect.bisect_right(self.primes.data, ix)
+
+    def _count_range(self, a: float, b: float) -> tuple[int, int]:
+        """(pi(a), pi(b)), after the checks of an interval (a, b]."""
         ia, ib = _interval_indices(a, b, self.limit)
-        return self.primes[self.pi_prefix[ia] : self.pi_prefix[ib]]
+        return self._count(ia), self._count(ib)
 
 
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
@@ -95,25 +153,31 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
 def build_sieve(limit: int) -> PrimeTable:
     """Sieve [0, limit] and build the prefix arrays.
 
-    Raises ValueError for limit < 2.
+    Raises ValueError, before allocating anything, for limit < 2 and
+    for limit > SIEVE_CAP.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    sieve = sieve_interval(0, limit)
-    primes = np.flatnonzero(sieve).astype(np.int64)
+    if limit > SIEVE_CAP:
+        raise ValueError(f"sieve limit {limit} exceeds SIEVE_CAP = {SIEVE_CAP}")
+    parts = []
+    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
+        part = np.flatnonzero(sieve_interval(lo, min(lo + _SIEVE_SEGMENT - 1, limit)))
+        part += lo
+        parts.append(part)
+    # flatnonzero returns intp, which is int64 on 64-bit platforms: no copy
+    primes = np.concatenate(parts).astype(np.int64, copy=False)
+    del parts  # before the prefix sums are allocated
+    # Each prefix sum is built in its own array, with no temporaries.
     one = np.int64(1 << FIXED_BITS)
-    # Summed in place: cumsum(sieve, dtype=int32) would hold a second
-    # copy of the whole range while it runs.
-    pi_prefix = sieve.astype(np.int32)
-    np.cumsum(pi_prefix, dtype=np.int32, out=pi_prefix)
-    return PrimeTable(
-        limit=limit,
-        is_prime=sieve,
-        pi_prefix=pi_prefix,
-        primes=primes,
-        s1_prefix=np.concatenate(([0], np.cumsum(one // primes))),
-        s2_prefix=np.concatenate(([0], np.cumsum(one // (primes * primes)))),
-    )
+    s1_prefix = np.zeros(len(primes) + 1, dtype=np.int64)
+    s2_prefix = np.zeros(len(primes) + 1, dtype=np.int64)
+    np.floor_divide(one, primes, out=s1_prefix[1:])
+    np.multiply(primes, primes, out=s2_prefix[1:])
+    np.floor_divide(one, s2_prefix[1:], out=s2_prefix[1:])
+    for prefix in (s1_prefix, s2_prefix):
+        np.cumsum(prefix, out=prefix)
+    return PrimeTable(limit=limit, primes=primes, s1_prefix=s1_prefix, s2_prefix=s2_prefix)
 
 
 def is_prime_trial(k: int) -> bool:
@@ -133,25 +197,26 @@ def is_prime_trial(k: int) -> bool:
 
 
 def _floor_index(x: float, limit: int) -> int:
-    ix = math.floor(x)
-    if ix < 0:
+    # Written so that NaN fails the first test and +inf the second.
+    if not x >= 0:
         raise ValueError(f"index must be >= 0, got {x}")
-    if ix > limit:
+    if not x < limit + 1:
         raise ValueError(f"index {x} exceeds sieve limit {limit}")
-    return ix
+    return math.floor(x)
 
 
 def _interval_indices(a: float, b: float, limit: int) -> tuple[int, int]:
     # Interval endpoints are floored: for integer p, a < p <= b is
     # equivalent to floor(a) < p <= floor(b).
+    ia, ib = _floor_index(a, limit), _floor_index(b, limit)
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    return _floor_index(a, limit), _floor_index(b, limit)
+    return ia, ib
 
 
 def _fixed_sum(table: PrimeTable, prefix: np.ndarray, a: float, b: float) -> int:
-    ia, ib = _interval_indices(a, b, table.limit)
-    return int(prefix[table.pi_prefix[ib]] - prefix[table.pi_prefix[ia]])
+    ka, kb = table._count_range(a, b)
+    return int(prefix[kb] - prefix[ka])
 
 
 def sum_recip(table: PrimeTable, a: float, b: float) -> float:
@@ -214,32 +279,31 @@ class RecipSumWalk:
     distinct primes stays in lowest terms, so a run of overlapping
     intervals costs one gcd-free product tree in all.  When more primes
     move than stay (disjoint intervals included), the sum is taken
-    afresh with :func:`sum_recip_exact`.  Every call returns the exact
-    sum, whatever the order of the intervals.
+    afresh with one such tree, as in :func:`sum_recip_exact`.  Every
+    call returns the exact sum, whatever the order of the intervals.
     """
 
     def __init__(self, table: PrimeTable) -> None:
         self.table = table
-        self._ia = self._ib = 0
+        # pi of the previous interval's ends
+        self._ka = self._kb = 0
         self._sum = Fraction(0)
 
     def __call__(self, a: float, b: float) -> Fraction:
-        table = self.table
-        ia, ib = _interval_indices(a, b, table.limit)
-        pi = table.pi_prefix
-        stay = int(pi[min(ib, self._ib)]) - int(pi[max(ia, self._ia)])
-        moved = (abs(int(pi[ia]) - int(pi[self._ia]))
-                 + abs(int(pi[ib]) - int(pi[self._ib])))
+        primes = self.table.primes
+        ka, kb = self.table._count_range(a, b)
+        stay = min(kb, self._kb) - max(ka, self._ka)
+        moved = abs(ka - self._ka) + abs(kb - self._kb)
         if moved > max(stay, 0):
-            self._sum = sum_recip_exact(table, ia, ib)
+            self._sum = _coprime_recip_sum(primes[ka:kb].tolist())
         else:
-            # Primes in (ia, old ia] enter at the low end and those in
-            # (old ib, ib] at the high end; reversed ranges leave.
-            for lo, hi in ((ia, self._ia), (self._ib, ib)):
+            # Primes at indices [ka, old ka) enter at the low end and
+            # those at [old kb, kb) at the high end; reversed ranges leave.
+            for lo, hi in ((ka, self._ka), (self._kb, kb)):
                 sign = 1 if lo <= hi else -1
-                for p in table.primes_between(min(lo, hi), max(lo, hi)).tolist():
+                for p in primes[min(lo, hi) : max(lo, hi)].tolist():
                     self._sum += Fraction(sign, p)
-        self._ia, self._ib = ia, ib
+        self._ka, self._kb = ka, kb
         return self._sum
 
 

@@ -235,6 +235,21 @@ def test_step_blocks_match_every_x_and_pair(block, monkeypatch):
     test_pair_sweeps_match_every_pair()
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_step_block_pi_matches_searchsorted(block, table_small, table_large, monkeypatch):
+    # pi at the step ends comes from prime indices, not from a lookup
+    monkeypatch.setattr(bounds, "_STEP_BLOCK", block)
+    for table in (table_small, table_large):
+        lim = table.limit
+        for lo, hi in ((2, lim), (11, lim), (3, 3), (4, 4), (12, 100), (lim - 5, lim)):
+            covered = 0
+            for xs, pis, base, top in bounds._step_blocks(table, lo, hi):
+                assert pis.tolist() == np.searchsorted(table.primes, xs, "right").tolist()
+                assert xs[0] > base and xs[-1] == top
+                covered += top - base
+            assert covered == hi - lo + 1, (lim, lo, hi)
+
+
 def test_step_sweeps_memory_does_not_grow_with_the_table():
     # the sweeps hold one block of step ends at a time, so a table with
     # four times the primes leaves each traced peak where it was
@@ -392,6 +407,21 @@ def test_floor_blocks_match_at_the_benchmark_degree(block, table_large, monkeypa
     assert whole.argmin_n == 719534 and len(whole.exceptions) == 9
     monkeypatch.setattr(bounds, "_FLOOR_BLOCK", block)
     assert bounds.density_floor_sweep(table_large, 719_800) == whole
+
+
+def test_floor_record_repr_writes_big_exact_sums():
+    # near 10**6 an exact sum has 518,000-bit terms, past the default
+    # cap on int-to-str digits; the repr keeps the dataclass layout
+    sweep = bounds.density_floor_sweep(primes.build_sieve(720_000), 719_800)
+    rec = sweep.exceptions[3]
+    assert rec.n == 719_534 and rec.exact.denominator.bit_length() > 500_000
+    text = repr(sweep)
+    head = f"FloorRecord(n=719534, value={rec.value!r}, exact=Fraction("
+    assert head in text
+    num, den = primes.fraction_str(rec.exact).split("/")
+    assert repr(rec) == head + f"{num}, {den}))"
+    small = bounds.FloorRecord(5, 0.25, Fraction(1, 4))
+    assert repr(small) == "FloorRecord(n=5, value=0.25, exact=Fraction(1, 4))"
 
 
 def test_floor_sweep_memory_does_not_grow_with_the_table():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from precycles import bounds, cli, montecarlo, perm, recognize
+from precycles import bounds, cli, montecarlo, perm, primes, recognize
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -259,6 +260,36 @@ def test_verify_r2_million_is_decided_without_runaway():
     assert len(ns) <= bounds.FLOOR_EXACT_EXCEPTIONS
     assert ns[:3] == [5, 6, 7]
     assert ns[3] == 719_534
+
+
+def test_verify_r2_leaves_the_int_str_cap_alone(capsys):
+    # exact sums near 10**6 pass the interpreter's default cap on
+    # int-to-str digits; they are written without lifting it, and the
+    # JSON is pinned by its sha256
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(["verify-r2", "--max", "720000", "--format", "json"], capsys)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "42faedcd3f850f7e4c32c820adca1369f62e382f454ba645ee55f331185164bc"
+
+
+def test_sieve_cap_is_a_usage_error(capsys):
+    over = str(primes.SIEVE_CAP + 1)
+    for argv in (["verify-primes", "--sieve-limit", over], ["verify-r2", "--max", over]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out
+        assert "SIEVE_CAP" in err
+
+
+def test_big_exact_values_print_in_full(capsys):
+    # the avoidance proportion of 2-cycles in S_3000 has about 4560
+    # digits a side, past the default cap on int-to-str digits
+    code, out, _ = run(["avoid", "--n", "3000", "--lengths", "2"], capsys)
+    assert code == 0
+    value = cli.exact.avoid_proportion(cli.exact.ForbiddenSet(3000, {2}))
+    want = primes.fraction_str(value)
+    assert len(want) > 9000 and f"= {want} ~" in out
 
 
 def test_avoid_alt_5000_is_decided_without_runaway():

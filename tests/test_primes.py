@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +34,18 @@ def test_sieve_matches_trial_division(table_small):
     for limit in range(2, 301):
         got = primes.build_sieve(limit).is_prime.tolist()
         assert got == [_trial_division(k) for k in range(limit + 1)], limit
+
+
+@pytest.mark.parametrize("segment", [1, 2, 7, 64])
+def test_sieve_segments_join(segment, table_small, monkeypatch):
+    # segment edges at every integer, and on both sides of primes
+    monkeypatch.setattr(primes, "_SIEVE_SEGMENT", segment)
+    for limit in (2, 3, 10, 63, 64, 65, 10_000):
+        got = primes.build_sieve(limit)
+        k = table_small.pi(limit)
+        assert got.primes.tolist() == table_small.primes[:k].tolist(), limit
+        assert got.s1_prefix.tolist() == table_small.s1_prefix[: k + 1].tolist()
+        assert got.s2_prefix.tolist() == table_small.s2_prefix[: k + 1].tolist()
 
 
 def test_pi_known_values(table_large):
@@ -209,3 +224,120 @@ def test_decimal_str_matches_str():
     finally:
         if old is not None:
             sys.set_int_max_str_digits(old)
+
+
+def test_pi_and_primes_between_match_trial_division(table_small):
+    # every integer x <= 10**4, and each prime p at p - 0.5 and p + 0.5
+    count = 0
+    for x in range(10_001):
+        count += _trial_division(x)
+        assert table_small.pi(x) == count, x
+    for p in table_small.primes.tolist():
+        assert table_small.pi(p - 0.5) == table_small.pi(p) - 1, p
+        assert table_small.pi(p + 0.5) == table_small.pi(p), p
+        assert table_small.primes_between(p - 0.5, p + 0.5).tolist() == [p]
+        assert table_small.primes_between(p - 1, p - 0.5).size == 0
+    want = [k for k in range(10_001) if _trial_division(k)]
+    for a in range(0, 10_001, 97):
+        for b in (a, a + 0.5, min(a + 200, 10_000), 10_000):
+            got = table_small.primes_between(a, b).tolist()
+            assert got == [k for k in want if a < k <= b], (a, b)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_endpoints_are_out_of_range(table_small, bad):
+    out_of_range = "must be >= 0|exceeds sieve limit"
+    with pytest.raises(ValueError, match=out_of_range):
+        table_small.pi(bad)
+    sums = (primes.sum_recip, primes.sum_recip_sq, primes.sum_recip_exact,
+            primes.sum_recip_sq_exact)
+    for interval, args in [(table_small.primes_between, ())] + [(f, (table_small,)) for f in sums]:
+        for a, b in ((2, bad), (bad, 10_000)):
+            with pytest.raises(ValueError, match=out_of_range):
+                interval(*args, a, b)
+
+
+def test_sieve_cap_refuses_before_allocating():
+    tracemalloc.start()
+    try:
+        for limit in (primes.SIEVE_CAP + 1, 10**12):
+            with pytest.raises(ValueError, match="SIEVE_CAP"):
+                primes.build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_table_holds_24_bytes_per_prime():
+    # and the build peaks at one 2 MB segment above what it returns
+    tracemalloc.start()
+    try:
+        table = primes.build_sieve(4 * 10**6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.primes) == 283_146
+    assert held <= 25 * len(table.primes), held
+    assert peak <= held + (3 << 20), (held, peak)
+
+
+def test_derived_arrays_match_the_primes():
+    table = primes.build_sieve(30_000)
+    assert "is_prime" not in vars(table) and "pi_prefix" not in vars(table)
+    want = [_trial_division(k) for k in range(30_001)]
+    assert table.is_prime.tolist() == want
+    assert table.pi_prefix.dtype == np.int32
+    assert table.pi_prefix.tolist() == np.cumsum(want).tolist()
+    for arr in (table.is_prime, table.pi_prefix):
+        assert not arr.flags.writeable
+    assert table.is_prime is table.is_prime  # cached
+
+
+def test_pi_run_matches_bisection(table_small):
+    rng = np.random.default_rng(7)
+    runs = [(0, 0), (0, 1), (0, 10_001), (2, 3), (10_000, 10_001), (10_001, 10_001)]
+    runs += [tuple(sorted(rng.integers(0, 10_002, size=2).tolist())) for _ in range(50)]
+    for lo, hi in runs:
+        got = table_small.pi_run(lo, hi)
+        want = np.searchsorted(table_small.primes, np.arange(lo, hi), "right")
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), (lo, hi)
+    for lo, hi in ((-1, 5), (5, 4), (0, 10_002)):
+        with pytest.raises(ValueError):
+            table_small.pi_run(lo, hi)
+
+
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_table_survives_pickle_and_deepcopy(clone):
+    table = primes.build_sieve(10_000)
+    table.pi_prefix  # a derived array is not carried over
+    got = clone(table)
+    assert got is not table and got.limit == table.limit
+    for name in ("primes", "s1_prefix", "s2_prefix"):
+        assert getattr(got, name).tolist() == getattr(table, name).tolist()
+        assert not getattr(got, name).flags.writeable
+    assert "pi_prefix" not in vars(got)
+    assert got.pi(10_000) == 1229
+    assert primes.sum_recip_exact(got, 2, 100) == primes.sum_recip_exact(table, 2, 100)
+
+
+def test_package_never_derives_the_index_arrays():
+    table = primes.build_sieve(100_000)
+    bounds.verify_pi_bounds_range(table)
+    bounds.verify_recip_sq_upper_all(table, 12, 5000)
+    bounds.verify_recip_bounds_all(table, 2, 5000)
+    for a, b in ((12, 99_000), (5000, 5001), (40_000, 100_000)):
+        bounds.check_recip_sq_upper(table, a, b)
+        bounds.check_recip_bounds(table, a, b)
+    bounds.density_floor_sweep(table, 100_000)
+    walk = primes.RecipSumWalk(table)
+    for a, b in ((10, 50), (20, 70), (1000, 2000)):
+        walk(a, b)
+        primes.sum_recip(table, a, b)
+        primes.sum_recip_sq(table, a, b)
+        primes.sum_recip_exact(table, a, b)
+        primes.sum_recip_sq_exact(table, a, b)
+    assert table.pi(99_999.5) == 9592
+    assert table.primes_between(99_000, 100_000).size == 87
+    assert "is_prime" not in vars(table) and "pi_prefix" not in vars(table)
