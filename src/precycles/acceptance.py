@@ -267,36 +267,22 @@ def criterion_3() -> str:
 
 
 # ----------------------------------------------------------- criterion 4
-# Prime counting and prime sum inequalities: full sweeps plus random
-# spot pairs, zero failures allowed.
+# Prime counting, prime sum and harmonic gap inequalities: the certified
+# battery's full sweeps plus random spot pairs, zero failures allowed.
 
 
 def criterion_4() -> str:
     table = primes.build_sieve(1_000_000)
     _require(table.pi(1_000_000) == 78498,
              f"pi(10^6) = {table.pi(1_000_000)}, expected 78498")
-    rep_pi = bounds_mod.verify_pi_bounds_range(table, 11, 1_000_000)
-    _require(rep_pi.holds,
-             f"pi bounds failed at {len(rep_pi.failures)} points")
-    rep_sq = bounds_mod.verify_recip_sq_upper_all(table, 12, 2000)
-    _require(rep_sq.holds,
-             f"square-sum grid failed at {len(rep_sq.failures)} pairs")
-    rep_br = bounds_mod.verify_recip_bounds_all(table, 2, 2000)
-    _require(rep_br.holds,
-             f"reciprocal bracket grid failed at {len(rep_br.failures)} pairs")
-    rng = np.random.default_rng(46337)
-    for k in range(1000):
-        a = int(rng.integers(12, 1_000_001))
-        b = int(rng.integers(a, 1_000_001))
-        rep = bounds_mod.check_recip_sq_upper(table, a, b)
-        _require(rep.holds, f"spot square-sum pair ({a}, {b}) failed")
-        lo_rep, hi_rep = bounds_mod.check_recip_bounds(table, a, b)
-        _require(lo_rep.holds and hi_rep.holds,
-                 f"spot bracket pair ({a}, {b}) failed")
-    margins = (f"min margins: pi {rep_pi.min_margin:.2e}, "
-               f"sq {rep_sq.min_margin:.2e}, bracket {rep_br.min_margin:.2e}")
-    return (f"grids {rep_pi.checked + rep_sq.checked + rep_br.checked} "
-            f"checks + 1000 spot pairs, zero failures; " + margins)
+    sweeps, spot_failures = bounds_mod.verify_battery(
+        table, 2000, 1000, np.random.default_rng(46337))
+    for rep in sweeps:
+        _require(rep.holds, f"{rep.name} failed at {len(rep.failures)} points")
+    _require(not spot_failures, f"{len(spot_failures)} spot checks failed")
+    margins = ", ".join(f"{r.name} {r.min_margin:.2e}" for r in sweeps)
+    return (f"sweeps {sum(r.checked for r in sweeps)} checks + 1000 spot "
+            f"pairs, zero failures; min margins: " + margins)
 
 
 # ----------------------------------------------------------- criterion 5

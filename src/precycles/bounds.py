@@ -16,7 +16,8 @@ The verifiers cover:
 * the prime-counting bounds x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)),
 * upper bounds on sum 1/p**2 and two-sided bounds on sum 1/p over
   half-open prime intervals (a, b],
-* harmonic-number control 0 < H_n - log n - gamma < 1/(2n),
+* harmonic-number control 0 < H_n - log n - gamma < 1/(2n), swept up
+  to ``HARMONIC_CAP`` (2 * 10**6),
 * the density floor sum_{n/2 < p <= n-3} 1/p >= 1/19 swept over n, and
 * the closed-form lower bounds for the pre-p-cycle proportion, both the
   window form and the two headline shapes.  The window form and the
@@ -24,6 +25,10 @@ The verifiers cover:
   be enumerated or sampled.  The refined headline is not: for S_n
   (delta = 1) it is 0.016 at e**12, where it is first asserted, and
   0.31 at 10**9.
+
+:func:`verify_battery` runs the prime-count, prime-sum and harmonic-gap
+sweeps and the random spot pairs as one battery, for the command line
+and the acceptance criteria alike.
 """
 from __future__ import annotations
 
@@ -535,9 +540,15 @@ _HARMONIC_BLOCK = 1 << 16
 # log n + gamma and the gap's pieces lie within a factor 2 of each
 # other for n >= 3), and so is 1/(2n) - gap.  With H_n and log n below
 # 32 that is at most 2**-49 + 2**-48 + 2**-54 + 2**31 * 2**-90 ~ 5.4e-15;
-# 8e-15 covers it.  The tightest true margin in range is
-# 1/(12 n**2) ~ 8.3e-14 at n = 1e6.
+# 8e-15 covers it.  The true margin is about 1/(12 n**2), 2.1e-14 at
+# HARMONIC_CAP, 2.6 times the budget: the sweep to the cap escalates no
+# degree.  The float margin first falls within the budget at
+# n = 2,923,015, and each escalated degree costs about 0.3 ms.
 _HARMONIC_BUDGET = 8e-15
+
+# The largest n_max verify_harmonic_gap accepts; a sweep to it takes
+# under 0.1 s.
+HARMONIC_CAP = 2 * 10**6
 
 
 def _harmonic_blocks(n_max: int):
@@ -597,8 +608,12 @@ def verify_harmonic_gap(n_max: int) -> SweepReport:
     """Check 0 < H_n - log n - gamma < 1/(2n) for all 1 <= n <= n_max.
 
     Margins above _HARMONIC_BUDGET hold in floats; the rest are decided
-    one degree at a time at 50, then 200 digits.
+    one degree at a time at 50, then 200 digits.  Raises ValueError,
+    before any block is built, for n_max > HARMONIC_CAP.
     """
+    if n_max > HARMONIC_CAP:
+        raise ValueError(
+            f"harmonic sweep to {n_max} exceeds HARMONIC_CAP = {HARMONIC_CAP}")
     gamma = float(EULER_MASCHERONI)
     blocks = []
     for ns, hs in _harmonic_blocks(n_max):
@@ -608,6 +623,38 @@ def verify_harmonic_gap(n_max: int) -> SweepReport:
             len(ns), lambda i: {"n": int(ns[i])}, _check_harmonic_gap,
         ))
     return _merged("harmonic_gap", blocks)
+
+
+# ---------------------------------------------------------------------------
+# The certified battery.
+
+
+def verify_battery(
+    table: PrimeTable, grid_max: int, pairs: int, rng: np.random.Generator
+) -> tuple[list[SweepReport], list[BoundReport]]:
+    """Run the prime-count, prime-sum and harmonic-gap checks on one table.
+
+    Four sweeps: the prime-counting bounds over [11, limit], the
+    square-sum grid over [12, grid_max], the reciprocal bracket grid
+    over [2, grid_max] and the harmonic gap over
+    [1, min(limit, HARMONIC_CAP)].  Then ``pairs`` random spot pairs,
+    a uniform in [12, limit] and b uniform in [a, limit] from ``rng``,
+    each against both prime-sum bounds.  Returns the four sweep reports
+    and the failing spot reports.
+    """
+    sweeps = [
+        verify_pi_bounds_range(table, 11, table.limit),
+        verify_recip_sq_upper_all(table, 12, grid_max),
+        verify_recip_bounds_all(table, 2, grid_max),
+        verify_harmonic_gap(min(table.limit, HARMONIC_CAP)),
+    ]
+    spot_failures = []
+    for _ in range(pairs):
+        a = int(rng.integers(12, table.limit + 1))
+        b = int(rng.integers(a, table.limit + 1))
+        spots = (check_recip_sq_upper(table, a, b), *check_recip_bounds(table, a, b))
+        spot_failures.extend(r for r in spots if not r.holds)
+    return sweeps, spot_failures
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Subcommands:
   density        exact densities (pre-p-cycle, window, coprime-order)
   avoid          exact avoidance proportion with certified upper bounds
-  verify-primes  certified prime-count and prime-sum inequality sweeps
+  verify-primes  certified prime-count, prime-sum and harmonic-gap sweeps
   verify-r2      density floor sweep plus small-degree exact proportions
   bounds         closed-form bound evaluators and the sample-count rule
   estimate       Monte Carlo event estimation with a Wilson interval
@@ -141,7 +141,7 @@ def cmd_density(ns) -> int:
         emit(
             ns,
             {"kind": "cycle-support", "n": ns.n, "value": value},
-            [f"proportion of S_{ns.n} powering to some nontrivial cycle "
+            [f"proportion of S_{ns.n} that is one nontrivial cycle "
              f"= {_qstr(value)} ~ {float(value):.6g}"],
         )
         return 0
@@ -210,21 +210,8 @@ def _sweep_lines(rep: bounds_mod.SweepReport) -> list[str]:
 
 def cmd_verify_primes(ns) -> int:
     table = primes.build_sieve(ns.sieve_limit)
-    rng = np.random.default_rng(ns.seed)
-    reports = [
-        bounds_mod.verify_pi_bounds_range(table, 11, table.limit),
-        bounds_mod.verify_recip_sq_upper_all(table, 12, ns.grid_max),
-        bounds_mod.verify_recip_bounds_all(table, 2, ns.grid_max),
-    ]
-    spot_failures = []
-    for _ in range(ns.pairs):
-        a = int(rng.integers(12, table.limit + 1))
-        b = int(rng.integers(a, table.limit + 1))
-        rep = bounds_mod.check_recip_sq_upper(table, a, b)
-        if not rep.holds:
-            spot_failures.append(rep)
-        lo_rep, hi_rep = bounds_mod.check_recip_bounds(table, a, b)
-        spot_failures.extend(r for r in (lo_rep, hi_rep) if not r.holds)
+    reports, spot_failures = bounds_mod.verify_battery(
+        table, ns.grid_max, ns.pairs, np.random.default_rng(ns.seed))
     ok = all(r.holds for r in reports) and not spot_failures
     lines = []
     for rep in reports:
@@ -329,15 +316,16 @@ def cmd_bounds(ns) -> int:
         return 0
     if ns.window_bound is not None:
         n, a, d, delta = ns.window_bound
-        value = bounds_mod.window_density_lower_bound(
-            int(n), float(a), float(d), int(delta)
-        )
+        if n.denominator != 1 or delta.denominator != 1:
+            raise ValueError("--window-bound N and DELTA must be integers")
+        n, a, d, delta = int(n), float(a), float(d), int(delta)
+        value = bounds_mod.window_density_lower_bound(n, a, d, delta)
         emit(
             ns,
-            {"kind": "window-bound", "n": int(n), "a": float(a),
-             "d": float(d), "delta": int(delta), "value": value},
-            [f"window density lower bound at n = {int(n)}, a = {float(a)}, "
-             f"d = {float(d)}, delta = {int(delta)}: {value:.6f}"],
+            {"kind": "window-bound", "n": n, "a": a, "d": d, "delta": delta,
+             "value": value},
+            [f"window density lower bound at n = {n}, a = {a}, "
+             f"d = {d}, delta = {delta}: {value:.6f}"],
         )
         return 0
     if ns.headline is not None:
@@ -441,9 +429,9 @@ def cmd_estimate(ns) -> int:
     ]
     if truth is not None:
         payload["exact"] = truth
-        payload["within_interval"] = (
-            abs(est.p_hat - float(truth)) <= est.half_width
-        )
+        lo, hi = montecarlo.wilson_interval(
+            round(est.p_hat * est.trials), est.trials, est.level)
+        payload["within_interval"] = lo <= float(truth) <= hi
         lines.append(
             f"exact value {float(truth):.6f}; inside interval: "
             f"{payload['within_interval']}"
@@ -550,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_avoid)
 
     p = sub.add_parser("verify-primes",
-                       help="prime-count and prime-sum inequality sweeps")
+                       help="prime-count, prime-sum and harmonic-gap sweeps")
     p.add_argument("--grid-max", type=int, default=2000)
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
@@ -568,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form bound evaluators")
     p.add_argument("--sample-count", type=rational, nargs=2,
                    metavar=("EPSILON", "C0"), default=None)
-    p.add_argument("--window-bound", type=float, nargs=4,
+    p.add_argument("--window-bound", type=rational, nargs=4,
                    metavar=("N", "A", "D", "DELTA"), default=None)
     p.add_argument("--headline", type=int, nargs=2,
                    metavar=("N", "DELTA"), default=None)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -307,6 +308,17 @@ def test_harmonic_number_within_derived_bound():
         bounds.harmonic_number(0)
     with pytest.raises(ValueError):
         bounds.verify_harmonic_gap(2**31)
+
+
+def test_harmonic_sweep_refuses_past_its_cap(monkeypatch):
+    def blocks(n_max):
+        raise AssertionError("a block was built past the cap")
+
+    monkeypatch.setattr(bounds, "_harmonic_blocks", blocks)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="HARMONIC_CAP"):
+        bounds.verify_harmonic_gap(bounds.HARMONIC_CAP + 1)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_harmonic_blocks_carry_exactly(monkeypatch):

@@ -49,6 +49,14 @@ def test_density_coprime(capsys):
     assert json.loads(out)["value"] == "1/2"
 
 
+def test_density_cycles_says_what_it_counts(capsys):
+    # 84 of the 120 elements of S_5 are one nontrivial cycle; 104 power
+    # to one, since type (3, 2) squares to a 3-cycle
+    code, out, _ = run(["density", "--n", "5", "--cycles"], capsys)
+    assert code == 0
+    assert out == "proportion of S_5 that is one nontrivial cycle = 7/10 ~ 0.7\n"
+
+
 def test_density_requires_one_mode(capsys):
     code, _, err = run(["density", "--n", "5"], capsys)
     assert code == 2
@@ -102,6 +110,20 @@ def test_bounds_window(capsys):
     assert json.loads(out)["value"] < 1
 
 
+def test_bounds_window_reads_n_and_delta_exactly(capsys):
+    code, out, _ = run(
+        ["bounds", "--window-bound", "1000000000000000001", "13.8", "1.5",
+         "1", "--format", "json"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert (blob["n"], blob["a"], blob["delta"]) == (10**18 + 1, 13.8, 1)
+    for n, delta in (("1000000.5", "1"), ("1000000", "1.7")):
+        code, out, err = run(
+            ["bounds", "--window-bound", n, "13.8", "2.6", delta], capsys)
+        assert code == 2 and not out
+        assert "N and DELTA must be integers" in err
+
+
 def test_bounds_prime_sums(capsys):
     code, out, _ = run(
         ["bounds", "--prime-sums", "12", "12", "--format", "json"], capsys)
@@ -135,6 +157,21 @@ def test_estimate_compare_exact(capsys):
     blob = json.loads(out)
     assert blob["exact"] == "1/4"
     assert blob["within_interval"] is True
+
+
+@pytest.mark.parametrize("trials, seed, inside", [(40, 14, True), (20, 23, False)])
+def test_estimate_within_interval_is_the_wilson_interval(
+        capsys, trials, seed, inside):
+    # against 1/13: p_hat = 0 with interval [0, 0.142] (seed 14), and
+    # p_hat = 0.3 with interval [0.116, 0.584] (seed 23)
+    code, out, _ = run(
+        ["estimate", "--n", "20", "--event", "window", "--window", "12", "13",
+         "--trials", str(trials), "--seed", str(seed), "--compare-exact",
+         "--format", "json"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["exact"] == "1/13"
+    assert blob["within_interval"] is inside
 
 
 def test_estimate_compare_exact_avoids_has_no_degree_bound(capsys):
@@ -225,6 +262,39 @@ def test_verify_primes_small(capsys):
     blob = json.loads(out)
     assert blob["ok"] is True
     assert all(s["holds"] for s in blob["sweeps"])
+
+
+def test_verify_primes_defaults_add_only_the_harmonic_gap(capsys):
+    # the prime sweeps and spot pairs are those of the battery before the
+    # harmonic gap joined it
+    code, out, _ = run(["verify-primes", "--format", "json"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    margins = [s.pop("min_margin") for s in blob["sweeps"]]
+    assert blob["sweeps"] == [
+        {"argmin": {"x": 12}, "checked": 999_990, "escalations": 0,
+         "holds": True, "name": "pi_bounds_range"},
+        {"argmin": {"a": 1996, "b": 1999}, "checked": 1_979_055,
+         "escalations": 0, "holds": True, "name": "recip_sq_upper_all"},
+        {"argmin": {"a": 19, "b": 1972}, "checked": 3_998_000,
+         "escalations": 0, "holds": True, "name": "recip_bounds_all"},
+        {"argmin": {"n": 999_988}, "checked": 10**6, "escalations": 0,
+         "holds": True, "name": "harmonic_gap"},
+    ]
+    assert margins[:3] == pytest.approx(
+        [0.17084474741786426, 3.989706635559864e-05, 0.011491118191286953],
+        rel=1e-9)
+    assert (blob["spot_pairs"], blob["spot_failures"]) == (1000, [])
+
+
+def test_verify_primes_harmonic_gap_stops_at_its_cap(capsys):
+    code, out, _ = run(
+        ["verify-primes", "--sieve-limit", "2000100", "--pairs", "10",
+         "--format", "json"], capsys)
+    assert code == 0
+    sweeps = {s["name"]: s for s in json.loads(out)["sweeps"]}
+    assert sweeps["harmonic_gap"]["checked"] == bounds.HARMONIC_CAP == 2_000_000
+    assert sweeps["harmonic_gap"]["holds"]
 
 
 def test_verify_r2_small(capsys):

@@ -37,10 +37,3 @@ def test_recognizer_experiment_script():
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == ["10", "12"]
     assert all(len(row) == 5 for row in rows)
-
-
-def test_verify_all_script():
-    proc = _run_script(
-        "verify_all.py", "--sieve-limit", "20000", "--grid-max", "200",
-        "--floor-max", "2000", "--harmonic-max", "2000")
-    assert proc.stdout.splitlines()[-1] == "all sweeps passed"
