@@ -424,14 +424,13 @@ def cmd_estimate(ns) -> int:
                **est.to_json_dict()}
     lines = [
         f"estimate over {est.trials} trials (seed {est.seed}): "
-        f"p_hat = {est.p_hat:.6f} +- {est.half_width:.6f} "
-        f"(Wilson, level {est.level})",
+        f"p_hat = {est.p_hat:.6f}, Wilson interval "
+        f"[{est.lower:.6f}, {est.upper:.6f}] "
+        f"(level {est.level}, half-width {est.half_width:.6f})",
     ]
     if truth is not None:
         payload["exact"] = truth
-        lo, hi = montecarlo.wilson_interval(
-            round(est.p_hat * est.trials), est.trials, est.level)
-        payload["within_interval"] = lo <= float(truth) <= hi
+        payload["within_interval"] = est.lower <= float(truth) <= est.upper
         lines.append(
             f"exact value {float(truth):.6f}; inside interval: "
             f"{payload['within_interval']}"

@@ -3,16 +3,24 @@
 Every function here returns plain ``fractions.Fraction`` values (always
 checked to lie in [0, 1] when they are proportions).  The production
 route is a coefficient recurrence for cycle-length avoidance, kept on
-one fixed scale A_m = n! * q_m so every term is an integer and each
-step costs one subtraction per forbidden length: O(n * |forbidden|)
-bigint additions per call.  The window statistics are sums of
-recurrence terms over window-prime subsets S with sum(S) <= n: by the
-exponential formula, one p-cycle for each p in S next to
-m = n - sum(S) points that avoid a set of lengths has proportion
-(prod_{p in S} 1/p) * q_m.
+one fixed scale A_m = n! * q_m so every term is an integer.  The window
+statistics are sums of recurrence terms over window-prime subsets S
+with sum(S) <= n: by the exponential formula, one p-cycle for each p in
+S next to m = n - sum(S) points that avoid a set of lengths has
+proportion (prod_{p in S} 1/p) * q_m, which is A_m // prod(S) on the
+scale n!.
+
+The subsets are walked depth first, and each continues its parent's
+sequence from the first length it newly forbids (p, or 2p when p was
+already a forbidden single), so no subset reruns the recurrence from
+index 0.  A subset forbids every multiple of its primes; a step
+removes them by inclusion-exclusion over running sums on the residue
+classes of the squarefree products of those primes, one term per
+product instead of one per multiple.  Other forbidden lengths cost one
+term each.
 
 Proportions over A_n weight each even class by 2/|C(lambda)|, through
-a signed companion sequence of the recurrence.
+a signed companion sequence that runs the same recurrence.
 
 Degrees above ``ENUMERATION_BOUND`` are refused by the window functions
 with :class:`EnumerationCapacityError`; Monte Carlo estimation
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,33 +128,88 @@ def prime_window(lo: float, hi: float) -> PrimeWindow:
 # ---------------------------------------------------------------------------
 # Cycle-length avoidance.
 
+# A class sum (d, subtract, r): r[j] = sum over t >= 1 of s[j - t*d], the
+# running sum of the sequence s over one residue class mod d, kept as
+# r[j] = s[j - d] + r[j - d].  It enters a step with its
+# inclusion-exclusion sign: subtracted when ``subtract``, else added.
+_ClassSum = tuple[int, bool, list[int]]
+# One sequence of a subset with its class sums.  S_n needs one lane;
+# A_n adds the signed companion's.
+_Lane = tuple[list[int], list[_ClassSum]]
 
-def _avoidance_counts(n: int, forbidden: frozenset[int], signed: bool) -> int:
-    """A_n = n! q_n for length avoidance, or its signed companion.
 
-    q_m is the S_m proportion with no cycle length in ``forbidden``.
-    Differentiating the exponential generating function gives
-    m q_m = sum_{j<=m, j allowed} q_{m-j}.  On the fixed scale
-    A_m = n! q_m every term is an integer, so each step takes one
-    running sum of the earlier A_i, subtracts A_{m-j} for each
-    forbidden j <= m and divides exactly by m: O(n * |forbidden|)
-    integer additions per call.  The signed variant carries an extra
-    (-1)**(j-1) per term, so its running sum alternates, and yields
-    n! * sum_over_even_classes 1/C - n! * sum_over_odd_classes 1/C.
+def _extend(
+    s: list[int], stop: int, classes: list[_ClassSum],
+    singles: list[int], sign: int,
+) -> None:
+    """Run the avoidance recurrence on ``s`` in place up to index stop - 1.
+
+    s[0] = n! and s[j] = n! q_j, where q_j is the S_j proportion with no
+    cycle length in a forbidden set F.  Differentiating the exponential
+    generating function gives j q_j = sum_{k<=j, k not in F} q_{j-k},
+    so each step takes the running sum of the earlier s[i], removes
+    sum_{k in F, k<=j} s[j-k] and divides exactly by j.
+
+    F is the union of the multiples of the ``classes``' primes and the
+    ascending ``singles``.  The multiples are removed by
+    inclusion-exclusion over the class sums of squarefree products d of
+    those primes: one term per d <= j instead of one per multiple.  The
+    class lists ``r`` must already hold every index below len(s); the
+    steps fill the rest.  ``singles`` are removed one term each.
+
+    With ``sign`` = -1 the same steps give c_j = (-1)**j b_j for the
+    signed companion b_j = n! * sum over the classes of S_j avoiding F
+    of sign/|C|: its generating function exp(sum_{k not in F}
+    (-1)**(k-1) x**k / k) at -x is exp(-sum_{k not in F} x**k / k), so
+    only the division changes sign.
     """
-    sign = -1 if signed else 1
-    lengths = sorted(forbidden)
-    a = [math.factorial(n)]
-    run = 0
-    for m in range(1, n + 1):
-        run = a[-1] + sign * run  # sum_{i<m} sign**(m-1-i) * a[i]
+    run = sum(s)
+    for j in range(len(s), stop):
         total = run
-        for j in lengths:
-            if j > m:
+        for d, subtract, r in classes:
+            if d > j:
                 break
-            total -= a[m - j] if j % 2 or not signed else -a[m - j]
-        a.append(total // m)
-    return a[n]
+            r[j] = v = s[j - d] + r[j - d]
+            if subtract:
+                total -= v
+            else:
+                total += v
+        for k in singles:
+            if k > j:
+                break
+            total -= s[j - k]
+        v = total // (sign * j)
+        s.append(v)
+        run += v
+
+
+def _lane_signs(group: str) -> tuple[int, ...]:
+    """The recurrence signs a group needs: S_n's count, and for A_n its
+    signed companion too."""
+    return (1, -1) if group == "alt" else (1,)
+
+
+def _root_lanes(n: int, group: str, singles: list[int]) -> list[_Lane]:
+    """The lanes of S empty, with no class sums, run to index n."""
+    lanes: list[_Lane] = []
+    for sign in _lane_signs(group):
+        s = [math.factorial(n)]
+        _extend(s, n + 1, [], singles, sign)
+        lanes.append((s, []))
+    return lanes
+
+
+def _in_group(values: list[int], m: int, parity: int) -> int:
+    """n! times the group proportion from the lanes' values at index m.
+
+    In A_n a class counts at twice its S_n weight when even and not at
+    all when odd, so the proportion is q + parity * b on the scale n!,
+    with b = (-1)**m c_m read from the signed lane and ``parity`` the
+    sign of the cycles placed outside the m points.
+    """
+    if len(values) == 1:
+        return values[0]
+    return values[0] + parity * (-1) ** m * values[1]
 
 
 def avoid_proportion(fs: ForbiddenSet, group: str = "sym") -> Fraction:
@@ -156,8 +219,10 @@ def avoid_proportion(fs: ForbiddenSet, group: str = "sym") -> Fraction:
     weight via the signed companion recurrence.
     """
     _check_group(group, fs.n)
-    count = _Avoiders(group).count(fs.n, fs.members)
-    return _check_unit_interval(Fraction(count, math.factorial(fs.n)))
+    n = fs.n
+    lanes = _root_lanes(n, group, sorted(fs.members))
+    count = _in_group([s[n] for s, _ in lanes], n, 1)
+    return _check_unit_interval(Fraction(count, math.factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,65 +276,90 @@ def _check_window(n: int, window: PrimeWindow) -> None:
         raise ValueError(f"window prime {window.primes[i]} exceeds degree {n}")
 
 
-def _prime_subsets(
-    n: int, primes: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Yield (S, m, ways) for every nonempty S of ``primes`` with sum <= n.
+def _child_lane(
+    s: list[int], classes: list[_ClassSum], p: int, cut: int, stop: int,
+    singles: list[int], sign: int,
+) -> _Lane:
+    """The sequence and class sums of S + {p} from those of S.
 
-    m = n - sum(S) points remain, and ways = n! / (m! * prod(S)) is the
-    number of ways to place one p-cycle for each p in S.  ``primes``
-    must ascend, so the walk stops at the first prime that does not fit.
+    Both forbid the same lengths below ``cut``, so the child shares the
+    parent's prefix there and runs only the steps cut..stop-1.  Class
+    sums of S with d < stop are copied below the cut; the new ones are
+    p * d for d = 1 and each d of S (sign flipped), filled below the cut
+    from the shared prefix.
     """
-    chosen: list[int] = []
+    pad = [0] * (stop - cut)
+    kept = [(d, sub, r[:cut] + pad) for d, sub, r in classes if d < stop]
+    new = []
+    for d, sub in [(1, False)] + [(d, sub) for d, sub, _ in kept]:
+        d *= p
+        if d >= stop:
+            break
+        r = [0] * stop
+        for j in range(d, cut):
+            r[j] = s[j - d] + r[j - d]
+        new.append((d, not sub, r))
+    classes = sorted(kept + new)
+    s = s[:cut]
+    _extend(s, stop, classes, singles, sign)
+    return s, classes
 
-    def walk(start: int, m: int, ways: int):
-        for i in range(start, len(primes)):
-            p = primes[i]
-            if p > m:
-                return
-            chosen.append(p)
-            w = ways * (math.perm(m, p) // p)
-            yield tuple(chosen), m - p, w
-            yield from walk(i + 1, m - p, w)
-            chosen.pop()
 
-    return walk(0, n, 1)
+def _subset_sums(
+    n: int, primes: tuple[int, ...], group: str, others_absent: bool
+) -> tuple[int, list[int]]:
+    """Walk the nonempty subsets S of ``primes`` with sum(S) <= n.
 
+    Each S places one p-cycle for each p in S, and the other m = n -
+    sum(S) points avoid the multiples of S's primes, plus, when
+    ``others_absent``, the primes outside S.  By the exponential formula
+    that set has proportion (prod_{p in S} 1/p) * q_m, so its term on
+    the scale n! is A_m // prod(S), an exact division.
 
-class _Avoiders:
-    """Avoidance class counts for one call, memoised on (m, forbidden).
-
-    ``count(m, forbidden, sign)`` is A_m on the scale m!: m! times the
-    proportion of S_m with no cycle length in ``forbidden`` (lengths
-    above m are ignored, so they do not split the memo).  For A_n the
-    signed companion, on the same scale, enters with ``sign``, the
-    parity of the cycles placed outside the m points.  A term
-    ``ways * count(...)`` summed over prime subsets and divided by n!
-    is then a group proportion.
+    Returns A_n for S empty and [sum over even |S|, sum over odd |S|],
+    all on the scale n! and in the group's weighting.
     """
-
-    def __init__(self, group: str):
-        self.signed = group == "alt"
-        self.memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
-
-    def count(self, m: int, forbidden: Iterable[int], sign: int = 1) -> int:
-        key = (m, frozenset(a for a in forbidden if a <= m))
-        if key not in self.memo:
-            self.memo[key] = (
-                _avoidance_counts(*key, False),
-                _avoidance_counts(*key, True) if self.signed else 0,
-            )
-        total, signed_total = self.memo[key]
-        return total + sign * signed_total
+    singles = list(primes) if others_absent else []
+    root = _root_lanes(n, group, singles)
+    sums = [0, 0]
+    _visit(primes, 2 if others_absent else 1, _lane_signs(group), sums,
+           0, n, 1, 1, 1, root, singles)
+    return _in_group([s[n] for s, _ in root], n, 1), sums
 
 
-def _multiples(chosen: tuple[int, ...], m: int) -> set[int]:
-    return {k for p in chosen for k in range(p, m + 1, p)}
+def _visit(
+    primes: tuple[int, ...], factor: int, signs: tuple[int, ...],
+    sums: list[int], start: int, m: int, prod: int, parity: int,
+    size: int, lanes: list[_Lane], singles: list[int],
+) -> None:
+    """Add the terms of S + {p} and its descendants for each p in
+    primes[start:] that fits in the m points left by S.
 
-
-def _parity(chosen: tuple[int, ...]) -> int:
-    """prod (-1)**(p-1) over the chosen primes: -1 exactly when 2 is one."""
-    return -1 if 2 in chosen else 1
+    ``prod``, ``parity`` and ``size`` are S's product, sign and size;
+    ``singles`` are the lengths S forbids one at a time.  The walk is
+    depth first over ascending primes and stops at the first prime that
+    does not fit.  S + {p} forbids no new length below the cut
+    ``factor`` * p (2p when the other primes are forbidden singles,
+    since p itself already was), so it continues S's ``lanes`` from
+    there up to its own m - p.  If m - p is below the cut, its value is
+    S's and no step runs; its descendants are then below their cuts too
+    and read the same sequences.
+    """
+    for i in range(start, len(primes)):
+        p = primes[i]
+        if p > m:
+            return
+        top, cut = m - p, factor * p
+        rest = [k for k in singles if k != p]
+        child = lanes if top < cut else [
+            _child_lane(s, classes, p, cut, top + 1, rest, sign)
+            for (s, classes), sign in zip(lanes, signs)]
+        sign_p = -parity if p == 2 else parity
+        value = _in_group([s[top] for s, _ in child], top, sign_p)
+        sums[size % 2] += value // (prod * p)
+        if i + 1 < len(primes) and primes[i + 1] <= top:
+            _visit(primes, factor, signs, sums, i + 1, top, prod * p,
+                   sign_p, size + 1, child, rest)
 
 
 def window_proportion(n: int, window: PrimeWindow, group: str = "sym") -> Fraction:
@@ -283,12 +373,8 @@ def window_proportion(n: int, window: PrimeWindow, group: str = "sym") -> Fracti
     with m = n - sum(S).
     """
     _check_window_args(n, group, window)
-    avoiders = _Avoiders(group)
-    total = 0
-    for chosen, m, ways in _prime_subsets(n, window.primes):
-        term = ways * avoiders.count(m, _multiples(chosen, m), _parity(chosen))
-        total += term if len(chosen) % 2 else -term
-    return _check_unit_interval(Fraction(total, math.factorial(n)))
+    _, (even, odd) = _subset_sums(n, window.primes, group, others_absent=False)
+    return _check_unit_interval(Fraction(odd - even, math.factorial(n)))
 
 
 class WindowHitStats(NamedTuple):
@@ -315,18 +401,12 @@ def window_hit_proportions(
     primes of the window outside S are absent.
     """
     _check_window_args(n, group, window)
-    avoiders = _Avoiders(group)
-    primes = window.primes
+    avoiders, sums = _subset_sums(n, window.primes, group, others_absent=True)
     nf = math.factorial(n)
-    hit = 1 - Fraction(avoiders.count(n, primes), nf)
-    single = 0
-    for chosen, m, ways in _prime_subsets(n, primes):
-        forbidden = _multiples(chosen, m)
-        forbidden.update(p for p in primes if p not in chosen)
-        single += ways * avoiders.count(m, forbidden, _parity(chosen))
+    hit = 1 - Fraction(avoiders, nf)
     return WindowHitStats(
         _check_unit_interval(hit),
-        _check_unit_interval(hit - Fraction(single, nf)),
+        _check_unit_interval(hit - Fraction(sum(sums), nf)),
     )
 
 

@@ -133,24 +133,32 @@ def wilson_interval(successes: int, trials: int, level: float) -> tuple[float, f
     return max(0.0, center - spread), min(1.0, center + spread)
 
 
-def wilson_half_width(successes: int, trials: int, level: float) -> float:
-    lo, hi = wilson_interval(successes, trials, level)
-    return (hi - lo) / 2.0
-
-
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate with Wilson half-width; seed echoed for replay."""
+    """Point estimate with its Wilson interval [lower, upper]; seed
+    echoed for replay.
+
+    The interval is not centred on p_hat (at p_hat = 0 it is
+    [0, 2 * half_width]), so a value is inside it by its ends, not by
+    its distance from p_hat.
+    """
 
     p_hat: float
-    half_width: float
+    lower: float
+    upper: float
     trials: int
     seed: int
     level: float
 
+    @property
+    def half_width(self) -> float:
+        return (self.upper - self.lower) / 2.0
+
     def to_json_dict(self) -> dict:
         return {
             "p_hat": self.p_hat,
+            "lower": self.lower,
+            "upper": self.upper,
             "half_width": self.half_width,
             "trials": self.trials,
             "seed": self.seed,
@@ -244,9 +252,11 @@ def estimate_event(
         _block_successes(n, group, event, seed, i, min(block_size, trials - start))
         for i, start in enumerate(range(0, trials, block_size))
     )
+    lower, upper = wilson_interval(successes, trials, level)
     return Estimate(
         p_hat=successes / trials,
-        half_width=wilson_half_width(successes, trials, level),
+        lower=lower,
+        upper=upper,
         trials=trials,
         seed=seed,
         level=level,

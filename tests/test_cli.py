@@ -174,6 +174,26 @@ def test_estimate_within_interval_is_the_wilson_interval(
     assert blob["within_interval"] is inside
 
 
+def test_estimate_prints_the_interval_it_tests(capsys):
+    # the Wilson interval at p_hat = 0 is [0, 0.142], not 0 +- 0.071,
+    # so the exact 1/13 = 0.076923 lies inside it
+    argv = ["estimate", "--n", "20", "--event", "window", "--window", "12", "13",
+            "--trials", "40", "--seed", "14", "--compare-exact"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == (
+        "estimate over 40 trials (seed 14): p_hat = 0.000000, Wilson interval "
+        "[0.000000, 0.142273] (level 0.99, half-width 0.071137)\n"
+        "exact value 0.076923; inside interval: True\n")
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "event": "window", "exact": "1/13", "group": "sym",
+        "half_width": 0.07113660675379219, "level": 0.99, "lower": 0.0,
+        "n": 20, "p_hat": 0.0, "seed": 14, "trials": 40,
+        "upper": 0.14227321350758437, "within_interval": True}
+
+
 def test_estimate_compare_exact_avoids_has_no_degree_bound(capsys):
     code, out, _ = run(
         ["estimate", "--n", "200", "--event", "avoids", "--lengths", "1",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from math import factorial
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import exact_reference
 from cycle_types import cycle_types
 from precycles import acceptance, exact, montecarlo, primes
 
@@ -289,6 +291,72 @@ def test_small_degree_proportions_all_below_third():
     for n in (5, 6, 7):
         assert exact.pre_prime_cycle_proportion(n, "sym") <= Fraction(1, 3)
     assert exact.pre_prime_cycle_proportion(8, "sym") > Fraction(1, 3)
+
+
+@given(st.integers(min_value=31, max_value=60), st.data())
+@settings(max_examples=20)
+@example(n=18, data=None)
+def test_shared_prefix_walk_matches_per_subset_reference(n, data):
+    """The walk that continues each subset's recurrence from its
+    parent's prefix gives the Fractions of one recurrence per subset.
+    The example is the window (7, 11) at n = 18, where {7} lies below
+    its cut 14 in the hit walk yet still has the child {7, 11}."""
+    if data is None:
+        w = exact.prime_window(6, 11)
+    else:
+        # lower ends in the bottom half and upper ends in the top half,
+        # so each window holds primes that fit only a few at a time
+        lo = data.draw(st.integers(min_value=0, max_value=n // 2))
+        w = exact.prime_window(lo, data.draw(st.integers(n // 2, n)))
+    for group in ("sym", "alt"):
+        assert exact.window_proportion(n, w, group) == \
+            exact_reference.window_proportion(n, w.primes, group)
+        assert tuple(exact.window_hit_proportions(n, w, group)) == \
+            exact_reference.window_hit_proportions(n, w.primes, group)
+
+
+@given(st.integers(min_value=1, max_value=80), st.data())
+@settings(max_examples=30)
+def test_avoidance_matches_per_subset_reference(n, data):
+    members = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
+    fs = exact.ForbiddenSet(n, members)
+    for group in ("sym",) + (("alt",) if n >= 2 else ()):
+        assert exact.avoid_proportion(fs, group) == Fraction(
+            exact_reference.in_group(n, members, group), factorial(n))
+
+
+def _paper_window(n):
+    """The paper's prime window (log n, (log n)**(log log n)]."""
+    log_n = math.log(n)
+    return log_n, log_n ** math.log(log_n)
+
+
+# sha256 of the fraction_str lines of window_proportion, hit and repeat
+# (and pre_prime_cycle_proportion for the 2..n-3 window), recorded from
+# one avoidance recurrence per prime subset
+@pytest.mark.parametrize("n, group, kind, digest", [
+    (52, "sym", "paper", "2cacfad217c9b6abdb4933b172cba11e7bfb641cb5fd9c5b1bcf4df7f9466a6e"),
+    (52, "sym", "full", "2dbf20ace9a096f5913cc23af12c1902e5e055ca04a9fca81e7c75e1eeceb1bd"),
+    (52, "alt", "paper", "2cacfad217c9b6abdb4933b172cba11e7bfb641cb5fd9c5b1bcf4df7f9466a6e"),
+    (52, "alt", "full", "beb855ed996983ce8dd1a357280a8553ca5c2b7077924f141e3beeaa12d1477a"),
+    (56, "sym", "paper", "08fcc08153a13126f2bb226e8d5bb46c427f78b16703950aa8998343f657644c"),
+    (56, "sym", "full", "a643e617c53e7f367906c5227befd12dbac59230ac7c05bb38ff27569a7cc07b"),
+    (56, "alt", "paper", "32a64684cab738bfbbfa5fe50a8af44c96eeff276c0c18379f6e32e86768d5da"),
+    (56, "alt", "full", "254e77ecd8e70058cd4618ba115889481146e4f81758a955066f0389d78661f2"),
+    (60, "sym", "paper", "1413f95baf8efe71d4095f60ce205021086f40f2736d327ecb20fde8ff1095a6"),
+    (60, "sym", "full", "8b656a44209aaa441944f0491aa02a27fb9ca67de10f9b428c4f67c0999ad316"),
+    (60, "alt", "paper", "8db05f0ba23fca32478bd4e88912b4a5961c266f6af8d9a8fe460879f64cc4b4"),
+    (60, "alt", "full", "fe92512d73e480c7d5c252b9403ccb8ad6f5d6630e11eac2f866ae93fe1cac6f"),
+])
+def test_window_statistics_pinned_past_enumeration(n, group, kind, digest):
+    lo, hi = _paper_window(n) if kind == "paper" else (1, n - 3)
+    w = exact.prime_window(lo, hi)
+    values = [exact.window_proportion(n, w, group)]
+    values += exact.window_hit_proportions(n, w, group)
+    if kind == "full":
+        values.append(exact.pre_prime_cycle_proportion(n, group))
+    text = "\n".join(primes.fraction_str(v) for v in values)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_capacity_error():

@@ -109,8 +109,8 @@ def test_sampler_cycle_type_law(group):
     assert set(seen) <= set(classes)  # for A_n: no odd type
     for code, truth in classes.items():
         hits = int(seen.get(code, 0))
-        half = montecarlo.wilson_half_width(hits, count, 0.999)
-        assert abs(hits / count - truth) <= 4 * half, (code, hits, truth)
+        lo, hi = montecarlo.wilson_interval(hits, count, 0.999)
+        assert abs(hits / count - truth) <= 2 * (hi - lo), (code, hits, truth)
 
 
 def test_million_degree_estimate_is_small_and_fast():
