@@ -41,8 +41,9 @@ from .perm import DEGREE_CAP
 from .primes import is_prime_trial, sieve_interval
 
 # Largest degree the window functions accept.  The prime-subset sums
-# reach further (n = 100 takes under a second); the bound stays at
-# the old partition sweep's reach until a benchmark sets a new one.
+# reach further (the paper's window at n = 700 takes about a second);
+# the bound stays at the old partition sweep's reach until a benchmark
+# sets a new one.
 ENUMERATION_BOUND = 60
 
 
