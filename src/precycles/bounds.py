@@ -2,8 +2,9 @@
 
 Each closed form is written once, as terms at one endpoint, for floats,
 numpy and mpmath alike.  A float margin beyond its error budget
-(``MARGIN``, 1e-9) decides a verdict by its sign; a narrower one is
-decided by the exact side (a rational prime sum, pi(x) or H_n) against
+(``MARGIN``, 1e-9, or for the square-sum bound ``_SQ_BUDGET``, 6e-12,
+its derived float error) decides a verdict by its sign; a narrower one
+is decided by the exact side (a rational prime sum, pi(x) or H_n) against
 the same closed form at 50, then 200 digits, where a pair still
 inseparable fails a strict inequality and holds a non-strict one.  The
 density floor against a rational threshold is decided in integers, from
@@ -55,6 +56,18 @@ from .primes import (
 # Float comparisons closer to the boundary than this are escalated.
 MARGIN = 1e-9
 
+# Certified float error for the square-sum bound over (a, b]: the
+# fixed-point prefix truncates each of the pi(b) - pi(a) terms by less
+# than 2**-60, at most 5.0e-12 in all below SIEVE_CAP (5,761,455 primes),
+# and the floats of the two prefix entries, of the two closed-form terms
+# (below 0.1, a few operations each) and of the sums and difference cost
+# a few ulps of 0.5 more, under 1e-15.  6e-12 covers both.  The float
+# margin is about 0.61/(a log a): over every pair up to SIEVE_CAP it is
+# least at a = 99,999,988, 3.3e-10, 55 times the budget, so no pair
+# escalates.  MARGIN (1e-9) would escalate nearly every a past
+# 3.3 * 10**7, each to an exact sum over (a, b].
+_SQ_BUDGET = 6e-12
+
 # Truncated (rounded toward zero) 30-significant-digit decimal; the
 # true constant lies strictly between value and value + 1e-30.
 EULER_MASCHERONI = "0.577215664901532860606512090082"
@@ -91,11 +104,11 @@ def _certified_less(sides: Callable[[], tuple], strict: bool) -> bool:
 
 
 def _report(name: str, inputs: dict, lhs: float, rhs: float, strict: bool,
-            sides: Callable[[], tuple]) -> BoundReport:
+            sides: Callable[[], tuple], budget: float) -> BoundReport:
     """lhs < rhs (strict) or lhs <= rhs, from floats: the sign of the
-    margin rhs - lhs beyond MARGIN, :func:`_certified_less` within it."""
+    margin rhs - lhs beyond ``budget``, :func:`_certified_less` within it."""
     margin = rhs - lhs
-    holds = margin > 0 if abs(margin) > MARGIN else _certified_less(sides, strict)
+    holds = margin > 0 if abs(margin) > budget else _certified_less(sides, strict)
     return BoundReport(name, inputs, lhs, rhs, holds, margin)
 
 
@@ -261,15 +274,21 @@ def _prime_sum_bounds(a, b, log, num) -> PrimeSumBounds:
     arithmetic of ``log`` and ``num``."""
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    sq = lo = hi = None
-    if a >= 12:
-        sq = _sq_terms(math.floor(a), log, num)[0] - _sq_terms(math.floor(b), log, num)[1]
-    if a >= 2:
-        ll_a, half_a, inv2_a = _recip_terms(a, log, num)
-        ll_b, half_b, inv2_b = _recip_terms(b, log, num)
-        lo = ll_b - ll_a - half_b - inv2_a
-        hi = ll_b - ll_a + inv2_b + half_a
+    sq = _sq_upper(a, b, log, num) if a >= 12 else None
+    lo, hi = _recip_bracket(a, b, log, num) if a >= 2 else (None, None)
     return PrimeSumBounds(float(a), float(b), sq, lo, hi)
+
+
+def _sq_upper(a, b, log, num):
+    """The square-sum upper bound over (a, b], for a >= 12."""
+    return _sq_terms(math.floor(a), log, num)[0] - _sq_terms(math.floor(b), log, num)[1]
+
+
+def _recip_bracket(a, b, log, num):
+    """The lower and upper reciprocal-sum bounds over (a, b], for a >= 2."""
+    ll_a, half_a, inv2_a = _recip_terms(a, log, num)
+    ll_b, half_b, inv2_b = _recip_terms(b, log, num)
+    return ll_b - ll_a - half_b - inv2_a, ll_b - ll_a + inv2_b + half_a
 
 
 def check_recip_sq_upper(table: PrimeTable, a: float, b: float) -> BoundReport:
@@ -278,9 +297,9 @@ def check_recip_sq_upper(table: PrimeTable, a: float, b: float) -> BoundReport:
         raise ValueError(f"the square-sum bound needs a >= 12, got a={a}")
     return _report(
         "recip_sq_upper", {"a": a, "b": b}, sum_recip_sq(table, a, b),
-        prime_sum_bounds(a, b).recip_sq_upper, strict=False, sides=lambda: (
-            sum_recip_sq_exact(table, a, b),
-            _prime_sum_bounds(a, b, *_MP).recip_sq_upper),
+        _sq_upper(a, b, math.log, float), strict=False, sides=lambda: (
+            sum_recip_sq_exact(table, a, b), _sq_upper(a, b, *_MP)),
+        budget=_SQ_BUDGET,
     )
 
 
@@ -291,66 +310,94 @@ def check_recip_bounds(
     if a < 2:
         raise ValueError(f"the reciprocal-sum bracket needs a >= 2, got a={a}")
     s = sum_recip(table, a, b)
-    pb = prime_sum_bounds(a, b)
+    lower, upper = _recip_bracket(a, b, math.log, float)
     return (
-        _report("recip_lower", {"a": a, "b": b}, pb.recip_lower, s, strict=True,
-                sides=lambda: (_prime_sum_bounds(a, b, *_MP).recip_lower,
-                               sum_recip_exact(table, a, b))),
-        _report("recip_upper", {"a": a, "b": b}, s, pb.recip_upper, strict=True,
+        _report("recip_lower", {"a": a, "b": b}, lower, s, strict=True,
+                sides=lambda: (_recip_bracket(a, b, *_MP)[0],
+                               sum_recip_exact(table, a, b)), budget=MARGIN),
+        _report("recip_upper", {"a": a, "b": b}, s, upper, strict=True,
                 sides=lambda: (sum_recip_exact(table, a, b),
-                               _prime_sum_bounds(a, b, *_MP).recip_upper)),
+                               _recip_bracket(a, b, *_MP)[1]), budget=MARGIN),
     )
 
 
-# The π sweep and both pair grids walk the step ends from the top down,
-# _STEP_BLOCK primes at a time, so their temporaries stay a few MB
-# whatever the table's limit.
+# The π sweep and both pair grids split the primes of their range into
+# outer blocks of _STEP_BLOCK primes, and those into sub-blocks of
+# _SUB_BLOCK primes.  A first pass bounds each sub-block's margins from
+# its two ends and keeps one summary per outer block; a second evaluates
+# the step ends of the few sub-blocks whose bound can reach the least
+# margin or the escalation budget.  Temporaries stay within one outer
+# block, whatever the table's limit.
 _STEP_BLOCK = 1 << 15
+_SUB_BLOCK = 8
+
+# A sub-block's bound is its margin's closed form at the sub-block's
+# worst ends, in floats.  Rounding moves that bound, and each margin
+# evaluated inside, by a few ulps of the sweep's largest term: below x
+# for the π sweep, 1 for the square-sum grid (s2 < 0.46) and 4 for the
+# reciprocal grid (s1 and loglog x stay below 3.2 up to SIEVE_CAP, and
+# 1/log**2 x below 2.1 from x = 2 on).  _BOUND_SLACK times that term,
+# 2**8 ulps of it, covers both.
+_BOUND_SLACK = 2.0**-44
 
 
-def _step_blocks(table: PrimeTable, lo: int, hi: int):
-    """Yield (xs, pis, base, top) for blocks of the step ends of [lo, hi],
-    the highest block first, with pis[i] = pi(xs[i]).
+def _step_ends(ps: np.ndarray, k_lo: int, lo: int, hi: int, j0: int, j1: int):
+    """(xs, pis) for the step ends of [lo, hi] that the primes ps[j0:j1]
+    hold, ascending, with pis[i] = pi(xs[i]).
 
-    The step ends are lo, hi, and p - 1 and p for every prime
-    lo < p <= hi, ascending and without repeats: both ends of every step
-    on which the prime prefix sums are constant.  A block of up to
-    _STEP_BLOCK of those primes holds the step ends in (base, top], with
-    base the prime below the block (lo - 1 for the lowest block) and top
-    its own last prime (hi for the highest block), so the blocks cover
-    the integers of [lo, hi] once each.  pi comes from the prime indices:
-    the prime at index k of ``table.primes`` has pi(p - 1) = k and
-    pi(p) = k + 1.
+    ``ps`` lists the primes lo < p <= hi, the first at index k_lo of the
+    table.  The step ends are lo, hi, and p - 1 and p for every such p,
+    without repeats: both ends of every step on which the prime prefix
+    sums are constant.  The primes ps[j0:j1] hold the step ends in
+    (base, top], with base the prime below them (lo - 1 for j0 = 0) and
+    top their own last prime (hi for j1 = len(ps)), so any split of ps
+    into runs covers the integers of [lo, hi] once each.  pi comes from
+    the prime indices: the prime at index k of ``table.primes`` has
+    pi(p - 1) = k and pi(p) = k + 1.
     """
-    k_lo, k_hi = table.pi(lo), table.pi(hi)
-    ps = table.primes[k_lo:k_hi]
-    for j1 in range(len(ps), 0, -_STEP_BLOCK) or (0,):
-        j0 = max(j1 - _STEP_BLOCK, 0)
-        base = int(ps[j0 - 1]) if j0 else lo - 1
-        top = int(ps[j1 - 1]) if j1 < len(ps) else hi
-        ends = np.repeat(ps[j0:j1], 2)
-        ends[::2] -= 1
-        counts = np.repeat(np.arange(k_lo + j0, k_lo + j1, dtype=np.int64), 2)
-        counts[1::2] += 1
-        # base leads only for the comparison, which drops each repeated
-        # end, and the end 3 - 1 when 2 tops the block below; pi is
-        # k_lo + j0 at base (lo - 1 aside) and at lo, k_lo + j1 at top
-        head = [base] if j0 else [base, lo]
-        xs = np.concatenate((head, ends, [top]))
-        pis = np.concatenate(([k_lo + j0] * len(head), counts, [k_lo + j1]))
-        keep = xs[1:] > xs[:-1]
-        yield xs[1:][keep], pis[1:][keep], base, top
+    base = int(ps[j0 - 1]) if j0 else lo - 1
+    top = int(ps[j1 - 1]) if j1 < len(ps) else hi
+    ends = np.repeat(ps[j0:j1], 2)
+    ends[::2] -= 1
+    counts = np.repeat(np.arange(k_lo + j0, k_lo + j1, dtype=np.int64), 2)
+    counts[1::2] += 1
+    # base leads only for the comparison, which drops each repeated end,
+    # and the end 3 - 1 when 2 ends the run below; pi is k_lo + j0 at
+    # base (lo - 1 aside) and at lo, k_lo + j1 at top
+    head = [base] if j0 else [base, lo]
+    xs = np.concatenate((head, ends, [top]))
+    pis = np.concatenate(([k_lo + j0] * len(head), counts, [k_lo + j1]))
+    keep = xs[1:] > xs[:-1]
+    return xs[1:][keep], pis[1:][keep]
+
+
+def _sub_block_ends(ps: np.ndarray, k_lo: int, lo: int, hi: int, j0: int, j1: int):
+    """(xs, ks) for the sub-blocks of the primes ps[j0:j1] (as in
+    :func:`_step_ends`): sub-block i holds its step ends in
+    [xs[i], xs[i + 1]], and pi lies between ks[i] and ks[i + 1] there.
+
+    xs[i + 1] is the sub-block's top, so xs[i] is the top of the one
+    below it, one short of its lowest step end, or lo for the lowest;
+    the closed forms are thus evaluated once at each end.
+    """
+    if j0 == j1:  # no prime in (lo, hi]: one sub-block, lo and hi
+        return np.array([lo, hi]), np.array([k_lo, k_lo])
+    stops = np.minimum(np.arange(j0, j1, _SUB_BLOCK) + _SUB_BLOCK, j1)
+    xs = np.concatenate(([ps[j0 - 1] if j0 else lo], ps[stops - 1]))
+    if j1 == len(ps):
+        xs[-1] = hi
+    return xs, np.concatenate(([j0], stops)) + k_lo
 
 
 def _suffix_max(xs: np.ndarray, values: np.ndarray, carry: tuple):
     """Suffix maxima of one block of values at step ends xs, joined with
     ``carry`` = (value, b): the greatest value above the block and the
-    x of its first occurrence ((-inf, None) for the highest block).
+    x of its first occurrence ((-inf, None) when nothing lies above).
 
-    Returns the maxima; a function giving for position i the pair
+    Returns the maxima and a function giving for position i the pair
     {"a": xs[i], "b": the x of the first greatest value at or above
-    xs[i]}; and the carry for the block below.  Maxima are exact, so
-    the blocks give the same floats as one pass over all step ends.
+    xs[i]}.  Maxima are exact, so the blocks give the same floats as one
+    pass over all step ends.
     """
     best, best_b = carry
     acc = np.maximum.accumulate(values[::-1])[::-1]
@@ -360,13 +407,160 @@ def _suffix_max(xs: np.ndarray, values: np.ndarray, carry: tuple):
         j = i + int(np.argmax(values[i:]))
         return {"a": int(xs[i]), "b": int(xs[j]) if values[j] >= best else best_b}
 
-    k = int(np.argmax(values))
-    return acc, pair, (float(values[k]), int(xs[k])) if values[k] >= best else carry
+    return acc, pair
 
 
-def _pairs(base: int, top: int, b_hi: int) -> int:
-    """The number of pairs a <= b <= b_hi with base < a <= top."""
-    return ((b_hi - base) * (b_hi - base + 1) - (b_hi - top) * (b_hi - top + 1)) // 2
+def _first_greatest(best: tuple, other: tuple) -> tuple:
+    """The greater of two (value, x) pairs, the one at the lower x on a tie."""
+    if other[0] > best[0] or other[0] == best[0] and other[1] < best[1]:
+        return other
+    return best
+
+
+def _pruned_sweep(table: PrimeTable, lo: int, hi: int, name: str, checked: int,
+                  terms: Callable, bounds: Callable, recheck: Callable,
+                  budget: float, scale: float, least: float = math.inf) -> SweepReport:
+    """One inequality's float sweep over the step ends of [lo, hi], by
+    branch and bound over sub-blocks.
+
+    ``terms(xs, pis)`` gives (g, f) at step ends, and the margin at a is
+    g(a) - max_{b >= a} f(b), or g(a) when f is None.
+    ``bounds(xs, ks)`` gives, for the sub-blocks of
+    :func:`_sub_block_ends`, whose step ends lie in [xs[i], xs[i + 1]]
+    with pi between ks[i] and ks[i + 1], a lower bound on g and an
+    upper bound on f over each (or None), from the monotone pieces of
+    the closed forms.  The lower bound on g less the greatest upper
+    bound on f at or above a sub-block bounds its margins.
+
+    Sub-blocks are evaluated, in ascending order of that bound, while it
+    is within the slack of max(least margin so far, ``budget``), with
+    ``scale`` the sweep's largest term.  So every step end within the
+    budget is rechecked by ``recheck``, and every step end at the least
+    margin is evaluated, its first one reported; every other step end
+    holds in floats with a margin beyond the budget.  A sweep merged
+    after another passes that one's least margin as ``least``: its own
+    is then reported only where it is lower, as the merged report
+    needs.  The greatest f above an evaluated sub-block, with its first
+    x, comes from a second branch and bound over the upper bounds on f,
+    the greatest first, which evaluates f on a sub-block only while its
+    bound can reach the greatest value found.
+    """
+    k_lo = table.pi(lo)
+    ps = table.primes[k_lo : table.pi(hi)]
+    outer = [(j0, min(j0 + _STEP_BLOCK, len(ps)))
+             for j0 in range(0, len(ps), _STEP_BLOCK)] or [(0, 0)]
+    slack = _BOUND_SLACK * scale
+
+    def step_ends(o: int, u: int):
+        j0, j1 = outer[o]
+        s0 = j0 + u * _SUB_BLOCK
+        return _step_ends(ps, k_lo, lo, hi, s0, min(s0 + _SUB_BLOCK, j1))
+
+    def block_bounds(o: int):
+        """The margin bound and the bound on f of each sub-block of outer
+        block o."""
+        g_lb, f_ub = bounds(*_sub_block_ends(ps, k_lo, lo, hi, *outer[o]))
+        if f_ub is None:
+            return g_lb, None
+        reach = np.maximum.accumulate(f_ub[::-1])[::-1]
+        return g_lb - np.maximum(reach, above[o]), f_ub
+
+    # One summary per outer block, the highest first: the greatest bound
+    # on f above it, then its least margin bound and its greatest bound
+    # on f (-inf when f is None).
+    lows = np.empty(len(outer))
+    highs = np.full(len(outer), -math.inf)
+    above = np.full(len(outer), -math.inf)
+    for o in range(len(outer) - 1, -1, -1):
+        if o + 1 < len(outer):
+            above[o] = max(above[o + 1], highs[o + 1])
+        bound, f_ub = block_bounds(o)
+        lows[o] = bound.min()
+        highs[o] = -math.inf if f_ub is None else f_ub.max()
+    del bound, f_ub  # so that pass-2 temporaries do not stack on them
+    by_high = np.argsort(-highs, kind="stable").tolist()
+
+    def greatest(o: int, f_ub: np.ndarray, found: tuple, start: int, best: tuple) -> tuple:
+        """best joined with the first greatest f over the sub-blocks
+        start, start + 1, ... of outer block o, whose bounds on f are f_ub.
+        ``found`` holds the greatest f of each sub-block evaluated so
+        far, NaN for the others, and the x of its first occurrence."""
+        values, at = found
+        cand = np.arange(start, len(f_ub))
+        while True:
+            done = ~np.isnan(values[cand])
+            if done.any():
+                u = int(cand[done][np.argmax(values[cand[done]])])
+                best = _first_greatest(best, (float(values[u]), int(at[u])))
+                cand = cand[~done]
+            cand = cand[f_ub[cand] + slack >= best[0]]
+            if not cand.size:
+                return best
+            u = int(cand[np.argmax(f_ub[cand])])
+            xs, pis = step_ends(o, u)
+            note(found, u, xs, terms(xs, pis)[1])
+
+    def note(found: tuple, u: int, xs: np.ndarray, f: np.ndarray) -> None:
+        k = int(np.argmax(f))
+        found[0][u], found[1][u] = f[k], xs[k]
+
+    def nothing_found(n: int) -> tuple:
+        return np.full(n, np.nan), np.zeros(n, dtype=np.int64)
+
+    def max_above(o: int) -> tuple:
+        """The greatest f over the outer blocks above o, and its first x."""
+        best = (-math.inf, None)
+        for o2 in by_high:
+            if o2 <= o:
+                continue
+            if highs[o2] + slack < best[0]:
+                break
+            f_ub = block_bounds(o2)[1]
+            best = greatest(o2, f_ub, nothing_found(len(f_ub)), 0, best)
+        return best
+
+    # A tie keeps the first step end; a ``least`` passed in ranks first.
+    least_at, argmin = (-1,), None
+    escalations, failures = 0, []
+    for o in np.argsort(lows, kind="stable").tolist():
+        if lows[o] > max(least, budget) + slack:
+            break
+        # above o first, so that no other block's bounds are held with o's
+        best_above = max_above(o) if highs[o] > -math.inf else None
+        bound, f_ub = block_bounds(o)
+        found = None if f_ub is None else nothing_found(len(f_ub))
+        for u in np.argsort(bound, kind="stable").tolist():
+            if bound[u] > max(least, budget) + slack:
+                break
+            xs, pis = step_ends(o, u)
+            g, f = terms(xs, pis)
+            if f is None:
+                margins, point = g, lambda i: {"x": int(xs[i])}
+            else:
+                note(found, u, xs, f)
+                f_max, point = _suffix_max(
+                    xs, f, greatest(o, f_ub, found, u + 1, best_above))
+                margins = g - f_max
+            part = _finish_sweep(name, margins, budget, 0, point, recheck)
+            escalations += part.escalations
+            if part.failures:
+                failures.append(((o, u), part.failures))
+            if (part.min_margin, (o, u)) < (least, least_at):
+                least, least_at, argmin = part.min_margin, (o, u), part.argmin
+    failures.sort(key=lambda item: item[0])
+    return SweepReport(
+        name=name,
+        checked=checked,
+        failures=sum((reports for _, reports in failures), ()),
+        min_margin=least,
+        argmin=argmin,
+        escalations=escalations,
+    )
+
+
+def _pairs(lo: int, hi: int) -> int:
+    """The number of pairs lo <= a <= b <= hi."""
+    return (hi - lo + 1) * (hi - lo + 2) // 2
 
 
 def verify_recip_sq_upper_all(
@@ -380,24 +574,29 @@ def verify_recip_sq_upper_all(
     both f and g decrease, so the suffix max of f is reached at a step
     start or at a itself, and the margin g(a) - max_{b >= a} f(b), a
     minimum of two decreasing functions of a, is least at a step end.
-    Only the step ends are evaluated, in blocks from the top down that
-    carry the suffix max and its first b.
+    Only the step ends can matter, and only those of the sub-blocks
+    whose bound, g from s2 at the lower end and 2.22/(x log x) at the
+    upper, less f from the other ends, can reach the least margin or
+    the budget _SQ_BUDGET are evaluated.
     """
     b_hi = table.limit if b_hi is None else b_hi
     if not 12 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 12 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
-    carry, parts = (-math.inf, None), []
-    for xs, pis, base, top in _step_blocks(table, a_lo, b_hi):
+    s2 = table.s2_prefix
+
+    def terms(xs, pis):
         g, f = _sq_terms(xs, np.log, float)
-        s2 = table.s2_prefix[pis] * FIXED_UNIT
-        f += s2
-        g += s2
-        f_max, pair, carry = _suffix_max(xs, f, carry)
-        parts.append(_finish_sweep(
-            "recip_sq_upper_all", g - f_max, MARGIN, _pairs(base, top, b_hi),
-            pair, lambda a, b: check_recip_sq_upper(table, a, b),
-        ))
-    return _merged("recip_sq_upper_all", parts[::-1])
+        sums = s2[pis] * FIXED_UNIT
+        return g + sums, f + sums
+
+    def bounds(xs, ks):
+        g, f = _sq_terms(xs, np.log, float)
+        sums = s2[ks] * FIXED_UNIT
+        return g[1:] + sums[:-1], f[:-1] + sums[1:]
+
+    return _pruned_sweep(
+        table, a_lo, b_hi, "recip_sq_upper_all", _pairs(a_lo, b_hi), terms, bounds,
+        lambda a, b: check_recip_sq_upper(table, a, b), _SQ_BUDGET, 1.0)
 
 
 def verify_recip_bounds_all(
@@ -406,41 +605,55 @@ def verify_recip_bounds_all(
     """Check the two-sided reciprocal-sum bracket for every pair a <= b.
 
     Same suffix-extremum rearrangement as the square-sum sweep, one
-    pass per side, over the same blocks of step ends.  On a step of
-    constant s1, plus = s1 - loglog x + 1/(2 log**2 x) always decreases,
-    and minus = s1 - loglog x - 1/log**2 x decreases for log**2 x > 2,
-    that is for x >= 5.  Lower side: the suffix min of plus is reached
-    at a step end and is constant along a step, so its margin
+    pass per side, over the same sub-blocks.  On a step of constant s1,
+    plus = s1 - loglog x + 1/(2 log**2 x) always decreases, and
+    minus = s1 - loglog x - 1/log**2 x decreases for log**2 x > 2, that
+    is for x >= 5.  Lower side: the suffix min of plus is reached at a
+    step end and is constant along a step, so its margin
     min_{b >= a} plus(b) - minus(a) grows along the step and is least
     at a step start.  Upper side: the margin
     plus(a) - max_{b >= a} minus(b) is least at a step end, as in the
     square-sum sweep.  Below 5, where minus need not decrease, every
     point (2, 3 and 4) is a step end.  The suffix min of plus is carried
-    as the suffix max of -plus, which negation keeps exact.
+    as the suffix max of -plus, which negation keeps exact.  A
+    sub-block's bounds take s1, loglog x and 1/log**2 x (which do not
+    decrease, increase and decrease) each at its worse end.
     """
     b_hi = table.limit if b_hi is None else b_hi
     if not 2 <= a_lo <= b_hi <= table.limit:
         raise ValueError(f"need 2 <= a_lo <= b_hi <= limit, got {a_lo}, {b_hi}")
-    low_carry = high_carry = (-math.inf, None)
-    lows, highs = [], []
-    for xs, pis, base, top in _step_blocks(table, a_lo, b_hi):
+    s1 = table.s1_prefix
+
+    def plus_minus(xs, pis):
         loglogs, halves, inv2 = _recip_terms(xs, np.log, float)
-        s1 = table.s1_prefix[pis] * FIXED_UNIT
-        plus = s1 - loglogs + halves
-        minus = s1 - loglogs - inv2
-        neg_min, low_pair, low_carry = _suffix_max(xs, -plus, low_carry)
-        minus_max, high_pair, high_carry = _suffix_max(xs, minus, high_carry)
-        checked = _pairs(base, top, b_hi)
-        lows.append(_finish_sweep(
-            "recip_lower_all", -neg_min - minus, MARGIN, checked, low_pair,
-            lambda a, b: check_recip_bounds(table, a, b)[0],
-        ))
-        highs.append(_finish_sweep(
-            "recip_upper_all", plus - minus_max, MARGIN, checked, high_pair,
-            lambda a, b: check_recip_bounds(table, a, b)[1],
-        ))
-    return _merged("recip_bounds_all", [_merged("recip_lower_all", lows[::-1]),
-                                        _merged("recip_upper_all", highs[::-1])])
+        sums = s1[pis] * FIXED_UNIT
+        return sums - loglogs + halves, sums - loglogs - inv2
+
+    def ends(xs, ks):
+        loglogs, halves, inv2 = _recip_terms(xs, np.log, float)
+        sums = s1[ks] * FIXED_UNIT
+        return loglogs[:-1], loglogs[1:], halves[1:], inv2[1:], sums[:-1], sums[1:]
+
+    def lower_terms(xs, pis):
+        plus, minus = plus_minus(xs, pis)
+        return -minus, -plus
+
+    def lower_bounds(xs, ks):
+        ll_a, ll_b, half_b, inv2_b, s_a, s_b = ends(xs, ks)
+        return ll_a + inv2_b - s_b, ll_b - half_b - s_a
+
+    def upper_bounds(xs, ks):
+        ll_a, ll_b, half_b, inv2_b, s_a, s_b = ends(xs, ks)
+        return s_a - ll_b + half_b, s_b - ll_a - inv2_b
+
+    pairs = _pairs(a_lo, b_hi)
+    low = _pruned_sweep(
+        table, a_lo, b_hi, "recip_lower_all", pairs, lower_terms, lower_bounds,
+        lambda a, b: check_recip_bounds(table, a, b)[0], MARGIN, 4.0)
+    high = _pruned_sweep(
+        table, a_lo, b_hi, "recip_upper_all", pairs, plus_minus, upper_bounds,
+        lambda a, b: check_recip_bounds(table, a, b)[1], MARGIN, 4.0, low.min_margin)
+    return _merged("recip_bounds_all", [low, high])
 
 
 def _finish_sweep(name: str, margins: np.ndarray, budget: float, checked: int,
@@ -485,9 +698,9 @@ def _check_pi_bounds(table: PrimeTable, x: int) -> BoundReport:
     lo, hi = _pi_terms(x, math.log, float)
     reports = (
         _report("pi_lower", {"x": x}, lo, float(pi_x), strict=False,
-                sides=lambda: (_pi_terms(x, *_MP)[0], pi_x)),
+                sides=lambda: (_pi_terms(x, *_MP)[0], pi_x), budget=MARGIN),
         _report("pi_upper", {"x": x}, float(pi_x), hi, strict=False,
-                sides=lambda: (pi_x, _pi_terms(x, *_MP)[1])),
+                sides=lambda: (pi_x, _pi_terms(x, *_MP)[1]), budget=MARGIN),
     )
     return min(reports, key=lambda r: (r.holds, r.margin))
 
@@ -504,22 +717,27 @@ def verify_pi_bounds_range(
     """Check the prime-counting bounds for every integer in [lo, hi].
 
     pi is constant from one prime to the next and both bounds increase
-    for x >= 11, so each margin is least at an end of such a step; only
-    the step ends are evaluated, in the pair grids' blocks.
+    for x >= 11, so each margin is least at an end of such a step.  Of
+    the step ends, only those of the grids' sub-blocks whose bound,
+    pi at one end against a bound at the other, can reach the least
+    margin or MARGIN are evaluated.
     """
     hi = table.limit if hi is None else hi
     if not 11 <= lo <= hi <= table.limit:
         raise ValueError(f"need 11 <= lo <= hi <= limit, got {lo}, {hi}")
-    parts = []
-    for xs, pis, base, top in _step_blocks(table, lo, hi):
+
+    def terms(xs, pis):
         lower, upper = _pi_terms(xs, np.log, float)
         pis = pis.astype(float)
-        parts.append(_finish_sweep(
-            "pi_bounds_range", np.minimum(pis - lower, upper - pis), MARGIN,
-            top - base, lambda i: {"x": int(xs[i])},
-            lambda x: _check_pi_bounds(table, x),
-        ))
-    return _merged("pi_bounds_range", parts[::-1])
+        return np.minimum(pis - lower, upper - pis), None
+
+    def bounds(xs, ks):
+        lower, upper = _pi_terms(xs, np.log, float)
+        return np.minimum(ks[:-1] - lower[1:], upper[:-1] - ks[1:]), None
+
+    return _pruned_sweep(
+        table, lo, hi, "pi_bounds_range", hi - lo + 1, terms, bounds,
+        lambda x: _check_pi_bounds(table, x), MARGIN, float(hi))
 
 
 # ---------------------------------------------------------------------------

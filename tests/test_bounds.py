@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bounds_reference
 from precycles import bounds, exact, primes
 
 
@@ -110,6 +111,7 @@ def test_forced_escalations_keep_every_verdict(
 
     monkeypatch.setattr(bounds, "_certified_less", counting)
     monkeypatch.setattr(bounds, "MARGIN", math.inf)
+    monkeypatch.setattr(bounds, "_SQ_BUDGET", math.inf)
     monkeypatch.setattr(bounds, "_HARMONIC_BUDGET", math.inf)
     for (run, count), unforced in zip(sweeps, sweep_reports):
         before = calls
@@ -158,9 +160,9 @@ def test_pi_bounds_range_matches_every_x():
         assert rep.checked == hi - lo + 1
 
 
-def _every_pair_report(name, xs, margins, recheck, witness_b):
+def _every_pair_report(name, xs, margins, budget, recheck, witness_b):
     # reference tail: every integer a, each with its witness b
-    near = [int(a) for a in xs[margins <= bounds.MARGIN]]
+    near = [int(a) for a in xs[margins <= budget]]
     reports = [recheck(a, witness_b(a)) for a in near]
     k = int(np.argmin(margins))
     return bounds.SweepReport(
@@ -181,7 +183,7 @@ def _sq_every_pair(table, a_lo, b_hi):
     g = s2 + 2.22 / (xs * logs)
     margins = g - np.maximum.accumulate(f[::-1])[::-1]
     return _every_pair_report(
-        "recip_sq_upper_all", xs, margins,
+        "recip_sq_upper_all", xs, margins, bounds._SQ_BUDGET,
         lambda a, b: bounds.check_recip_sq_upper(table, a, b),
         lambda a: int(xs[np.argmax(f[a - a_lo :]) + (a - a_lo)]))
 
@@ -195,12 +197,12 @@ def _recip_every_pair(table, a_lo, b_hi):
     minus = s1 - loglogs - inv2
     low = _every_pair_report(
         "recip_lower_all", xs,
-        np.minimum.accumulate(plus[::-1])[::-1] - minus,
+        np.minimum.accumulate(plus[::-1])[::-1] - minus, bounds.MARGIN,
         lambda a, b: bounds.check_recip_bounds(table, a, b)[0],
         lambda a: int(xs[np.argmin(plus[a - a_lo :]) + (a - a_lo)]))
     high = _every_pair_report(
         "recip_upper_all", xs,
-        plus - np.maximum.accumulate(minus[::-1])[::-1],
+        plus - np.maximum.accumulate(minus[::-1])[::-1], bounds.MARGIN,
         lambda a, b: bounds.check_recip_bounds(table, a, b)[1],
         lambda a: int(xs[np.argmax(minus[a - a_lo :]) + (a - a_lo)]))
     return bounds.SweepReport(
@@ -236,6 +238,133 @@ def test_step_blocks_match_every_x_and_pair(block, monkeypatch):
     test_pair_sweeps_match_every_pair()
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_sub_blocks_match_every_x_and_pair(block, monkeypatch):
+    # sub-blocks of 1, 2 and 3 primes put a sub-block edge at every step
+    # end, the lo and hi repeats and the 2 -> 3 step among them
+    monkeypatch.setattr(bounds, "_SUB_BLOCK", block)
+    test_pi_bounds_range_matches_every_x()
+    test_pair_sweeps_match_every_pair()
+
+
+@pytest.mark.parametrize("step_block", [bounds._STEP_BLOCK, 1 << 10])
+def test_sweeps_match_the_full_reference(step_block, table_large, monkeypatch):
+    # the branch and bound against every step end evaluated, at 10**6:
+    # three outer blocks at the default size, 77 at 2**10
+    monkeypatch.setattr(bounds, "_STEP_BLOCK", step_block)
+    lim = table_large.limit
+    ranges = [(2, lim), (13, lim - 1), (1000, 500_000), (123_457, 987_654),
+              (999_000, lim), (400_000, 400_000)]
+    for sweep, lowest in ((bounds.verify_pi_bounds_range, 11),
+                          (bounds.verify_recip_sq_upper_all, 12),
+                          (bounds.verify_recip_bounds_all, 2)):
+        reference = getattr(bounds_reference, sweep.__name__)
+        for lo, hi in ranges:
+            lo = max(lo, lowest)
+            assert sweep(table_large, lo, hi) == reference(table_large, lo, hi), \
+                (sweep.__name__, lo, hi)
+
+
+def _count_evaluated_sub_blocks(monkeypatch):
+    """Per call of the branch and bound: the number of its sub-blocks,
+    and the set of those whose step ends it built."""
+    calls = []
+    step_ends, pruned_sweep = bounds._step_ends, bounds._pruned_sweep
+
+    def counting_ends(ps, k_lo, lo, hi, j0, j1):
+        calls[-1][1].add(j0)
+        return step_ends(ps, k_lo, lo, hi, j0, j1)
+
+    def counting_sweep(table, lo, hi, *args, **kwargs):
+        primes_in_range = table.pi(hi) - table.pi(lo)
+        calls.append((max(-(-primes_in_range // bounds._SUB_BLOCK), 1), set()))
+        return pruned_sweep(table, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "_step_ends", counting_ends)
+    monkeypatch.setattr(bounds, "_pruned_sweep", counting_sweep)
+    return calls
+
+
+def test_sweeps_evaluate_few_sub_blocks(table_large, monkeypatch):
+    # at 10**6 each sweep, and each side of the reciprocal grid, builds
+    # the step ends of at most 2% of its sub-blocks
+    calls = _count_evaluated_sub_blocks(monkeypatch)
+    for sweep in (bounds.verify_pi_bounds_range, bounds.verify_recip_sq_upper_all,
+                  bounds.verify_recip_bounds_all):
+        assert sweep(table_large).holds
+    # 78,493 primes in (11, 10**6] and (12, 10**6], 78,497 in (2, 10**6]
+    k = bounds._SUB_BLOCK
+    assert [total for total, _ in calls] == \
+        [-(-78_493 // k)] * 2 + [-(-78_497 // k)] * 2
+    for total, evaluated in calls:
+        assert len(evaluated) <= 0.02 * total, [(t, len(e)) for t, e in calls]
+
+
+def test_forced_sweeps_evaluate_every_sub_block(table_large, monkeypatch):
+    # with no float margin wide enough, every sub-block is evaluated; small
+    # outer blocks and sub-blocks give several of each below 1000
+    monkeypatch.setattr(bounds, "_STEP_BLOCK", 16)
+    monkeypatch.setattr(bounds, "_SUB_BLOCK", 4)
+    unforced = [bounds.verify_pi_bounds_range(table_large, 11, 1000),
+                bounds.verify_recip_sq_upper_all(table_large, 12, 1000),
+                bounds.verify_recip_bounds_all(table_large, 2, 1000)]
+    calls = _count_evaluated_sub_blocks(monkeypatch)
+    monkeypatch.setattr(bounds, "MARGIN", math.inf)
+    monkeypatch.setattr(bounds, "_SQ_BUDGET", math.inf)
+    forced = [bounds.verify_pi_bounds_range(table_large, 11, 1000),
+              bounds.verify_recip_sq_upper_all(table_large, 12, 1000),
+              bounds.verify_recip_bounds_all(table_large, 2, 1000)]
+    assert [total for total, _ in calls] == [41, 41, 42, 42]
+    assert all(len(evaluated) == total for total, evaluated in calls)
+    for f, u in zip(forced, unforced):
+        assert f.escalations > 0 and dataclasses.replace(f, escalations=0) == u
+
+
+def test_spot_checks_evaluate_only_their_bound(table_small, monkeypatch):
+    # the square-sum check evaluates no reciprocal terms, and the
+    # reciprocal check no square-sum terms
+    want_sq = bounds.check_recip_sq_upper(table_small, 12, 5000)
+    want_recip = bounds.check_recip_bounds(table_small, 2, 5000)
+
+    def refuse(*args):
+        raise AssertionError("a term of the other bound was evaluated")
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_recip_terms", refuse)
+        assert bounds.check_recip_sq_upper(table_small, 12, 5000) == want_sq
+    monkeypatch.setattr(bounds, "_sq_terms", refuse)
+    assert bounds.check_recip_bounds(table_small, 2, 5000) == want_recip
+
+
+def test_square_sum_budget_covers_its_float_error():
+    # below SIEVE_CAP the fixed-point prefix loses less than 2**-60 on
+    # each of at most pi(10**8) = 5,761,455 primes, plus a few ulps; the
+    # float margin, about 0.61/(a log a), stays far beyond the budget
+    cap = primes.SIEVE_CAP
+    assert 5_761_455 * 2.0**-60 + 1e-15 < bounds._SQ_BUDGET
+    assert 10 * bounds._SQ_BUDGET < 0.61 / (cap * math.log(cap))
+
+
+def test_square_sum_check_decides_in_floats_near_the_cap(monkeypatch):
+    # past a = 3.3 * 10**7 the float margin falls below MARGIN, but not
+    # below the square-sum budget: no pair escalates to an exact sum.  A
+    # table of the primes in [5 * 10**7, 5.1 * 10**7] alone gives the
+    # right sums over intervals inside it
+    lo, hi = 5 * 10**7, 51 * 10**6
+    ps = lo + np.flatnonzero(primes.sieve_interval(lo, hi))
+    one = 1 << primes.FIXED_BITS
+    s1, s2 = (np.concatenate(([0], np.cumsum(one // d))) for d in (ps, ps * ps))
+    table = primes.PrimeTable(hi, ps, s1, s2)
+
+    def refuse(sides, strict):
+        raise AssertionError("escalated")
+
+    monkeypatch.setattr(bounds, "_certified_less", refuse)
+    for a, b in ((lo, lo), (lo, lo + 10), (lo, hi), (lo + 123_456, hi - 7)):
+        rep = bounds.check_recip_sq_upper(table, a, b)
+        assert rep.holds and 0 < rep.margin < bounds.MARGIN, (a, b)
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_step_block_pi_matches_searchsorted(block, table_small, table_large, monkeypatch):
     # pi at the step ends comes from prime indices, not from a lookup
@@ -244,7 +373,7 @@ def test_step_block_pi_matches_searchsorted(block, table_small, table_large, mon
         lim = table.limit
         for lo, hi in ((2, lim), (11, lim), (3, 3), (4, 4), (12, 100), (lim - 5, lim)):
             covered = 0
-            for xs, pis, base, top in bounds._step_blocks(table, lo, hi):
+            for xs, pis, base, top in bounds_reference.step_blocks(table, lo, hi):
                 assert pis.tolist() == np.searchsorted(table.primes, xs, "right").tolist()
                 assert xs[0] > base and xs[-1] == top
                 covered += top - base
