@@ -30,15 +30,23 @@ The verifiers cover:
 :func:`verify_battery` runs the prime-count, prime-sum and harmonic-gap
 sweeps and the random spot pairs as one battery, for the command line
 and the acceptance criteria alike.
+
+:func:`sample_count`, the recognizer's draw budget, is the least m with
+(1 - c0)**m <= epsilon: a float estimate corrected with exact rational
+powers while they stay affordable, and past that a high-precision count
+at the ratio's own digit count that is separated from every integer
+boundary, so it is never off by one.  mpmath is imported only where a
+value is evaluated at high precision: an escalated verdict, the
+avoidance and gamma certificates, and counts past the exact powers.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import mpmath
 import numpy as np
 
 from .primes import (
@@ -52,6 +60,9 @@ from .primes import (
     sum_recip_sq,
     sum_recip_sq_exact,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 # Float comparisons closer to the boundary than this are escalated.
 MARGIN = 1e-9
@@ -83,10 +94,33 @@ def gamma_bounds() -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 10**30)
 
 
+def _mpmath():
+    """mpmath, imported on the first high-precision evaluation: a process
+    whose verdicts all stand in floats or integers never loads it."""
+    import mpmath
+
+    return mpmath
+
+
+def _mp_arith() -> tuple:
+    """(log, num) for the closed forms at high precision: mpmath.log and
+    mpmath.mpf, which reads "2.22" itself, never the float 2.22."""
+    mpmath = _mpmath()
+    return mpmath.log, mpmath.mpf
+
+
 def _to_mpf(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
+    """x at the working precision.  An int or Fraction goes through one
+    integer division to a few bits past that precision: mpmath's own
+    conversion strips trailing zero bits in time quadratic in their
+    number, 6 s for 2**2000000 (a power of 1/2 that sample_count meets)."""
+    mpmath = _mpmath()
+    if not isinstance(x, (int, Fraction)):
+        return mpmath.mpf(x)
+    num, den = x.numerator, x.denominator
+    shift = mpmath.mp.prec + 8 - num.bit_length() + den.bit_length()
+    quotient = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return mpmath.ldexp(quotient, -shift)
 
 
 def _certified_less(sides: Callable[[], tuple], strict: bool) -> bool:
@@ -94,6 +128,7 @@ def _certified_less(sides: Callable[[], tuple], strict: bool) -> bool:
     sides(), exact or evaluated afresh at 50, then 200 digits.  A pair
     closer than the separation margin at both fails a strict bound and
     holds a non-strict one."""
+    mpmath = _mpmath()
     for dps in (50, 200):
         with mpmath.workdps(dps):
             a, b = map(_to_mpf, sides())
@@ -115,10 +150,9 @@ def _report(name: str, inputs: dict, lhs: float, rhs: float, strict: bool,
 # ---------------------------------------------------------------------------
 # The closed forms as terms at one endpoint x.  ``log`` and ``num`` (a
 # constructor for decimal constants) are math.log and float for scalars,
-# np.log and float for sweeps, and mpmath.log and mpmath.mpf to escalate,
-# so mpmath reads "2.22" itself, never the float 2.22, which is larger.
-
-_MP = (mpmath.log, mpmath.mpf)
+# np.log and float for sweeps, and mpmath.log and mpmath.mpf
+# (``_mp_arith()``) to escalate, so mpmath reads "2.22" itself, never the
+# float 2.22, which is larger.
 
 
 def _pi_terms(x, log, num):
@@ -216,9 +250,10 @@ def certify_avoidance_bound(q: Fraction, mu, factor: int = 1) -> bool:
     """
     glo, ghi = gamma_bounds()
     mu_f = mu if isinstance(mu, Fraction) else Fraction(mu)
+    exp = _mpmath().exp
 
     def bound(g):
-        return factor * mpmath.exp(_to_mpf(g) - _to_mpf(mu_f))
+        return factor * exp(_to_mpf(g) - _to_mpf(mu_f))
 
     if _certified_less(lambda: (q, bound(glo)), strict=True):
         return True
@@ -240,8 +275,9 @@ def verify_gamma_dominance(mu) -> bool:
     mu_f = mu if isinstance(mu, Fraction) else Fraction(mu)
     if mu_f < 1:
         return True
+    exp = _mpmath().exp
     return _certified_less(lambda: (
-        mpmath.exp(_to_mpf(ghi) - _to_mpf(mu_f)), 2 / (3 * _to_mpf(mu_f))
+        exp(_to_mpf(ghi) - _to_mpf(mu_f)), 2 / (3 * _to_mpf(mu_f))
     ), strict=True)
 
 
@@ -298,7 +334,7 @@ def check_recip_sq_upper(table: PrimeTable, a: float, b: float) -> BoundReport:
     return _report(
         "recip_sq_upper", {"a": a, "b": b}, sum_recip_sq(table, a, b),
         _sq_upper(a, b, math.log, float), strict=False, sides=lambda: (
-            sum_recip_sq_exact(table, a, b), _sq_upper(a, b, *_MP)),
+            sum_recip_sq_exact(table, a, b), _sq_upper(a, b, *_mp_arith())),
         budget=_SQ_BUDGET,
     )
 
@@ -313,11 +349,11 @@ def check_recip_bounds(
     lower, upper = _recip_bracket(a, b, math.log, float)
     return (
         _report("recip_lower", {"a": a, "b": b}, lower, s, strict=True,
-                sides=lambda: (_recip_bracket(a, b, *_MP)[0],
+                sides=lambda: (_recip_bracket(a, b, *_mp_arith())[0],
                                sum_recip_exact(table, a, b)), budget=MARGIN),
         _report("recip_upper", {"a": a, "b": b}, s, upper, strict=True,
                 sides=lambda: (sum_recip_exact(table, a, b),
-                               _recip_bracket(a, b, *_MP)[1]), budget=MARGIN),
+                               _recip_bracket(a, b, *_mp_arith())[1]), budget=MARGIN),
     )
 
 
@@ -698,9 +734,9 @@ def _check_pi_bounds(table: PrimeTable, x: int) -> BoundReport:
     lo, hi = _pi_terms(x, math.log, float)
     reports = (
         _report("pi_lower", {"x": x}, lo, float(pi_x), strict=False,
-                sides=lambda: (_pi_terms(x, *_MP)[0], pi_x), budget=MARGIN),
+                sides=lambda: (_pi_terms(x, *_mp_arith())[0], pi_x), budget=MARGIN),
         _report("pi_upper", {"x": x}, float(pi_x), hi, strict=False,
-                sides=lambda: (pi_x, _pi_terms(x, *_MP)[1]), budget=MARGIN),
+                sides=lambda: (pi_x, _pi_terms(x, *_mp_arith())[1]), budget=MARGIN),
     )
     return min(reports, key=lambda r: (r.holds, r.margin))
 
@@ -810,9 +846,10 @@ def _check_harmonic_gap(n: int) -> BoundReport:
     """The harmonic gap at degree n, decided at high precision, each
     side against the end of gamma's bracket that makes it conservative."""
     glo, ghi = gamma_bounds()
+    mpmath = _mpmath()
 
     def exact(g):
-        return _harmonic_terms(mpmath.harmonic(n), n, _to_mpf(g), *_MP)
+        return _harmonic_terms(mpmath.harmonic(n), n, _to_mpf(g), *_mp_arith())
 
     holds = (_certified_less(lambda: (0, exact(ghi)[0]), strict=True)
              and _certified_less(lambda: exact(glo), strict=True))
@@ -1104,13 +1141,29 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a number, got {x!r}")
 
 
+# sample_count corrects its float estimate with exact rational powers of
+# 1 - c0 while m times the bits of 1 - c0 stays within this many bits.
+_POWER_BITS = 4_000_000
+
+# Integer digits the high-precision count carries beyond those of the
+# ratio log epsilon / log(1 - c0), to begin with.
+_COUNT_GUARD = 20
+
+
 def sample_count(epsilon, c0) -> int:
     """Smallest m with (1 - c0)**m <= epsilon (0 when epsilon = 1).
 
     Drawing m independent elements, each a pre-p-cycle with probability
     at least c0, fails to find one with probability at most epsilon.
-    Computed at 60 digits with an exact rational fix-up near integer
-    boundaries, so the count is never off by one.
+    The estimate ceil(log epsilon / log(1 - c0)) comes from float logs
+    and is corrected with exact rational powers of 1 - c0 while m times
+    the bits of 1 - c0 is at most 4,000,000.  Past that, or where
+    1 - epsilon or c0 is too small for a float, the ratio is evaluated in
+    mpmath at its own digit count plus a guard, with each log taken as
+    log1p of the exact q - 1 near 1; a ratio too close to an integer k
+    for that precision is decided by (1 - c0)**k against epsilon when
+    that power is no larger than epsilon itself, else at a doubled
+    guard.  So the count is never off by one.
     """
     eps = _as_fraction(epsilon)
     c = _as_fraction(c0)
@@ -1121,17 +1174,73 @@ def sample_count(epsilon, c0) -> int:
     if eps == 1:
         return 0
     base = 1 - c
-    with mpmath.workdps(60):
-        ratio = mpmath.log(_to_mpf(eps)) / mpmath.log(_to_mpf(base))
-        floor_r = int(mpmath.floor(ratio))
-        near_integer = ratio - floor_r < mpmath.mpf("1e-40")
-    m = floor_r if near_integer else floor_r + 1
-    m = max(m, 1)
-    # Exact adjustment when the bigint powers stay affordable.
-    cost = m * (base.numerator.bit_length() + base.denominator.bit_length())
-    if cost <= 4_000_000:
-        while m > 0 and base ** (m - 1) <= eps:
-            m -= 1
-        while base**m > eps:
-            m += 1
+    m = _float_count(eps, base)
+    bits = base.numerator.bit_length() + base.denominator.bit_length()
+    if m is None or m * bits > _POWER_BITS:
+        return _mp_count(eps, base)
+    while m > 1 and base ** (m - 1) <= eps:
+        m -= 1
+    while base**m > eps:
+        m += 1
     return m
+
+
+def _float_log(q: Fraction) -> float | None:
+    """log q for 0 < q < 1 in floats: log1p of the exact q - 1 from 1/2
+    on, None where that is below the least normal float; below 1/2 the
+    log of the numerator less that of the denominator, which takes ints
+    of any size."""
+    num, den = q.numerator, q.denominator
+    if 2 * num >= den:
+        x = (den - num) / den
+        return math.log1p(-x) if x >= sys.float_info.min else None
+    return math.log(num) - math.log(den)
+
+
+def _float_count(eps: Fraction, base: Fraction) -> int | None:
+    """ceil(log eps / log base), at least 1, in floats; None where a log
+    or the ratio leaves the floats."""
+    num, den = _float_log(eps), _float_log(base)
+    if num is None or den is None:
+        return None
+    ratio = num / den
+    return max(math.ceil(ratio), 1) if math.isfinite(ratio) else None
+
+
+def _mp_count(eps: Fraction, base: Fraction) -> int:
+    """The least m with base**m <= eps < 1, from log eps / log base in
+    mpmath.
+
+    At ``dps`` digits, with the ratio below 10**size, each log and the
+    quotient are within a few units of 10**-dps relative, so the ratio
+    is within 10**(size + 1 - dps) of the true one.  At dps = size +
+    guard, a ratio below 1 - tol, with tol = 10**(size + 2 - dps), gives
+    1, and one farther than tol from its nearest integer k has the true
+    ratio's ceiling.  One nearer is decided by base**k against eps when
+    base**k has the bits of eps's denominator (so the power costs about
+    what eps does); otherwise eps != base**k, and a doubled guard in the
+    end separates the ratio from k."""
+    mpmath = _mpmath()
+
+    def log(q: Fraction):
+        return mpmath.log1p(_to_mpf(q - 1)) if 2 * q >= 1 else mpmath.log(_to_mpf(q))
+
+    guard = dps = _COUNT_GUARD
+    while True:
+        with mpmath.workdps(dps):
+            ratio = log(eps) / log(base)
+            size = int(abs(int(ratio)).bit_length() * 0.30103) + 1
+            if dps < size + guard:
+                dps = size + guard
+                continue
+            tol = mpmath.mpf(10) ** (size + 2 - dps)
+            if ratio < 1 - tol:
+                return 1
+            k = int(mpmath.nint(ratio))
+            if abs(ratio - k) > tol:
+                return int(mpmath.ceil(ratio))
+        d = base.denominator.bit_length()
+        if k * (d - 1) < eps.denominator.bit_length() <= k * d:
+            return k if base**k <= eps else k + 1
+        guard *= 2
+        dps = size + guard

@@ -27,6 +27,10 @@ import numpy as np
 from . import exact
 from .exact import ForbiddenSet, PrimeWindow
 
+# The largest degree the sampler takes: it holds the points that remain
+# as int64 and draws from 1..remaining + 1 (exclusive), so 2**63 - 2.
+MAX_DEGREE = 2**63 - 2
+
 DEFAULT_LEVEL = 0.99
 DEFAULT_BLOCK_SIZE = 4096
 _NO_CYCLES = np.zeros(0, dtype=np.int64)
@@ -237,11 +241,12 @@ def estimate_event(
     """Estimate the probability of ``event`` for a uniform group element.
 
     The result is a deterministic function of (n, event, group, trials,
-    seed, block_size).
+    seed, block_size).  Degrees above ``MAX_DEGREE`` (2**63 - 2), which
+    the int64 sampler cannot hold, raise ValueError before any sampling.
     """
     exact._check_group(group, n)
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree must be in [1, {MAX_DEGREE}] (2**63 - 2), got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if block_size < 1:

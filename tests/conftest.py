@@ -15,3 +15,8 @@ def table_small():
 @pytest.fixture(scope="session")
 def table_large():
     return build_sieve(1_000_000)
+
+
+@pytest.fixture(scope="session")
+def table_medium():
+    return build_sieve(100_000)

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import json
 import math
 import time
 import tracemalloc
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bounds_reference
-from precycles import bounds, exact, primes
+from precycles import bounds, cli, exact, primes
 
 
 def test_constant_brackets():
@@ -265,6 +267,85 @@ def test_sweeps_match_the_full_reference(step_block, table_large, monkeypatch):
                 (sweep.__name__, lo, hi)
 
 
+def _perturbed(terms, old, new):
+    """The closed form ``terms`` with its decimal constant ``old`` read
+    as ``new``, in floats, numpy and mpmath alike."""
+    def perturbed(*args):
+        *head, log, num = args
+        return terms(*head, log, lambda text: num(new if text == old else text))
+    return perturbed
+
+
+# Negative controls on the 10**5 table: (closed form, constant, perturbed
+# value, sweep, lowest a or x, failures by name, first failing inputs).
+# The π upper constant 1.25 fails 9 x in [1307, 2861]; the square-sum
+# 1.62 fails 85 pairs, from (16, 17); the reciprocal half term -0.2
+# fails the lower side alone, at (19, 1422), and -0.4 three pairs on the
+# upper side and two on the lower.
+NEGATIVE_CONTROLS = {
+    "pi": ("_pi_terms", "1.5", "1.25", "verify_pi_bounds_range", 11,
+           {"pi_upper": 9}, {"x": 1307}),
+    "square_sum": ("_sq_terms", "2.22", "1.62", "verify_recip_sq_upper_all", 12,
+                   {"recip_sq_upper": 85}, {"a": 16, "b": 17}),
+    "recip_lower": ("_recip_terms", "0.5", "-0.2", "verify_recip_bounds_all", 2,
+                    {"recip_lower": 1}, {"a": 19, "b": 1422}),
+    "recip_upper": ("_recip_terms", "0.5", "-0.4", "verify_recip_bounds_all", 2,
+                    {"recip_lower": 2, "recip_upper": 3}, {"a": 19, "b": 222}),
+}
+
+
+@pytest.mark.parametrize("blocks", [
+    {}, {"_SUB_BLOCK": 1}, {"_SUB_BLOCK": 2}, {"_SUB_BLOCK": 3}, {"_STEP_BLOCK": 64},
+], ids=["default", "sub1", "sub2", "sub3", "step64"])
+@pytest.mark.parametrize("side", sorted(NEGATIVE_CONTROLS))
+def test_perturbed_sweeps_fail_as_the_full_reference_does(
+        side, blocks, table_medium, monkeypatch):
+    # the branch and bound must find every failure that evaluating every
+    # step end finds, not only agree where every inequality holds
+    form, old, new, sweep, lowest, counts, first = NEGATIVE_CONTROLS[side]
+    for name, value in blocks.items():
+        monkeypatch.setattr(bounds, name, value)
+    monkeypatch.setattr(bounds, form, _perturbed(getattr(bounds, form), old, new))
+    lo, hi = lowest, table_medium.limit
+    got = getattr(bounds, sweep)(table_medium, lo, hi)
+    want = getattr(bounds_reference, sweep)(table_medium, lo, hi)
+    for field in dataclasses.fields(bounds.SweepReport):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert collections.Counter(r.name for r in got.failures) == counts
+    assert got.failures[0].inputs == first
+    assert got.escalations == len(got.failures)
+    assert all(r.margin < 0 for r in got.failures)
+
+
+@pytest.mark.parametrize("block", [bounds._HARMONIC_BLOCK, 7])
+def test_perturbed_harmonic_gap_fails_where_it_should(block, monkeypatch):
+    # H_n - log n - gamma is 1/(2n) - 1/(12 n**2) + ..., so a cap of
+    # 0.49/n fails from n = 9 on, and gamma read as 0.58, 0.0028 too
+    # high, puts the gap below 0 from n = 180 on
+    monkeypatch.setattr(bounds, "_HARMONIC_BLOCK", block)
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "_harmonic_terms", _perturbed(bounds._harmonic_terms, "0.5", "0.49"))
+        rep = bounds.verify_harmonic_gap(100)
+    assert [r.inputs["n"] for r in rep.failures] == list(range(9, 101))
+    assert rep.escalations == 92 and rep.checked == 100
+    monkeypatch.setattr(bounds, "EULER_MASCHERONI", "0.58")
+    rep = bounds.verify_harmonic_gap(300)
+    assert [r.inputs["n"] for r in rep.failures] == list(range(180, 301))
+    assert all(r.lhs < 0 for r in rep.failures)
+
+
+def test_verify_primes_exits_1_under_a_perturbed_form(monkeypatch, capsys):
+    monkeypatch.setattr(bounds, "_pi_terms", _perturbed(bounds._pi_terms, "1.5", "1.25"))
+    argv = ["verify-primes", "--sieve-limit", "10000", "--grid-max", "300",
+            "--pairs", "20", "--format", "json"]
+    assert cli.main(argv) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["ok"] is False
+    assert {r["name"]: r["holds"] for r in blob["sweeps"]} == {
+        "pi_bounds_range": False, "recip_sq_upper_all": True,
+        "recip_bounds_all": True, "harmonic_gap": True}
+
+
 def _count_evaluated_sub_blocks(monkeypatch):
     """Per call of the branch and bound: the number of its sub-blocks,
     and the set of those whose step ends it built."""
@@ -365,19 +446,37 @@ def test_square_sum_check_decides_in_floats_near_the_cap(monkeypatch):
         assert rep.holds and 0 < rep.margin < bounds.MARGIN, (a, b)
 
 
+def _check_step_blocks(table, ranges):
+    """pi at the step ends comes from prime indices, not from a lookup,
+    and the blocks of each range cover it once."""
+    lim = table.limit
+    for lo, hi in ranges:
+        covered = 0
+        for xs, pis, base, top in bounds_reference.step_blocks(table, lo, hi):
+            assert pis.tolist() == np.searchsorted(table.primes, xs, "right").tolist()
+            assert xs[0] > base and xs[-1] == top
+            covered += top - base
+        assert covered == hi - lo + 1, (lim, lo, hi)
+
+
+def _edge_ranges(lim):
+    return [(3, 3), (4, 4), (12, 100), (lim - 5, lim)]
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 7])
 def test_step_block_pi_matches_searchsorted(block, table_small, table_large, monkeypatch):
-    # pi at the step ends comes from prime indices, not from a lookup
+    # every range of the 10**4 table, and the edge ranges of the 10**6
+    # table, at block sizes that put a block edge at every step end
     monkeypatch.setattr(bounds, "_STEP_BLOCK", block)
-    for table in (table_small, table_large):
-        lim = table.limit
-        for lo, hi in ((2, lim), (11, lim), (3, 3), (4, 4), (12, 100), (lim - 5, lim)):
-            covered = 0
-            for xs, pis, base, top in bounds_reference.step_blocks(table, lo, hi):
-                assert pis.tolist() == np.searchsorted(table.primes, xs, "right").tolist()
-                assert xs[0] > base and xs[-1] == top
-                covered += top - base
-            assert covered == hi - lo + 1, (lim, lo, hi)
+    lim = table_small.limit
+    _check_step_blocks(table_small, [(2, lim), (11, lim), *_edge_ranges(lim)])
+    _check_step_blocks(table_large, _edge_ranges(table_large.limit))
+
+
+def test_default_step_block_pi_matches_searchsorted(table_large):
+    # every range of the 10**6 table, in three blocks of 2**15 primes
+    lim = table_large.limit
+    _check_step_blocks(table_large, [(2, lim), (11, lim), *_edge_ranges(lim)])
 
 
 def test_step_sweeps_memory_does_not_grow_with_the_table():
@@ -645,6 +744,41 @@ def test_sample_count_is_minimal(epsilon, c0):
     assert (1 - c0) ** m <= epsilon
     if m > 0:
         assert (1 - c0) ** (m - 1) > epsilon
+
+
+@pytest.mark.parametrize("guard", [bounds._COUNT_GUARD, 1])
+@pytest.mark.parametrize("k", [20, 40, 55, 70, 300])
+def test_sample_count_matches_a_high_precision_reference(k, guard, monkeypatch):
+    # past the exact-power rule: c0 = 10**-k, against log1p at 3k + 60
+    # digits; at 60 digits log(1 - c0) lost 10**-40 (too few draws) and
+    # 10**-55 (too many), and from 10**-70 on divided by zero.  A guard
+    # of one digit separates no ratio from an integer at first, so the
+    # count doubles it until it does
+    monkeypatch.setattr(bounds, "_COUNT_GUARD", guard)
+    c0 = Fraction(1, 10**k)
+    with mp.workdps(3 * k + 60):
+        ratio = mp.log(mp.mpf(1) / 100) / mp.log1p(-mp.mpf(c0.numerator) / c0.denominator)
+        want = int(mp.ceil(ratio))
+        assert abs(ratio - mp.nint(ratio)) > mp.mpf(10) ** -(2 * k)  # no boundary case
+    assert bounds.sample_count(Fraction(1, 100), c0) == want
+
+
+@pytest.mark.parametrize("eps, c0, want", [
+    # epsilon = (1/2)**k exactly, past the exact-power rule (3k bits > 4e6)
+    (Fraction(1, 2**2_000_000), Fraction(1, 2), 2_000_000),
+    # within (1 + 2**-200) of (1/2)**k on either side, where 20 guard
+    # digits cannot separate the ratio from k
+    (Fraction(2**200 + 1, 2**2_000_200), Fraction(1, 2), 2_000_000),
+    (Fraction(2**200 - 1, 2**2_000_200), Fraction(1, 2), 2_000_001),
+    # 1 - epsilon and c0 below the least float
+    (1 - Fraction(1, 10**400), Fraction(1, 10**400), 1),
+    (Fraction(1, 10**400), Fraction(1, 2), 1329),
+])
+def test_sample_count_at_integer_boundaries_and_tiny_inputs(eps, c0, want):
+    assert bounds.sample_count(eps, c0) == want
+    base = 1 - c0
+    if want * (base.numerator.bit_length() + base.denominator.bit_length()) <= 10**7:
+        assert base**want <= eps < base ** (want - 1)
 
 
 def test_sample_count_validation():

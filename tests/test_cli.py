@@ -93,6 +93,18 @@ def test_bounds_sample_count(capsys):
     assert json.loads(out)["draws"] == 86
 
 
+def test_bounds_sample_count_past_the_float_range(capsys):
+    # 1 - c0 rounds to 1 at 60 digits from c0 = 10**-70 on; the count
+    # takes log1p at the ratio's own digits and exits 0
+    code, out, err = run(
+        ["bounds", "--sample-count", "1/100", "1e-300", "--format", "json"], capsys)
+    assert code == 0, err
+    draws = json.loads(out)["draws"]
+    assert draws == bounds.sample_count(Fraction(1, 100), Fraction(1, 10**300))
+    assert str(draws).startswith("46051701859880913680359829093687284152")
+    assert len(str(draws)) == 301
+
+
 def test_bounds_headline(capsys):
     code, out, _ = run(
         ["bounds", "--headline", "1000000", "1", "--format", "json"], capsys)
@@ -215,6 +227,14 @@ def test_estimate_compare_exact_refuses_before_sampling(capsys, monkeypatch):
          "--compare-exact"], capsys)
     assert code == 2
     assert "exceeds the exact enumeration bound 60" in err
+
+
+def test_estimate_refuses_a_degree_past_int64(capsys):
+    code, _, err = run(
+        ["estimate", "--n", "100000000000000000000", "--event", "avoids",
+         "--lengths", "2", "--trials", "10"], capsys)
+    assert code == 2
+    assert "9223372036854775806" in err and "Traceback" not in err
 
 
 def test_estimate_missing_window(capsys):

@@ -183,6 +183,24 @@ def test_estimate_json_round_trip():
     assert back["seed"] == 4
 
 
+def test_estimate_refuses_degrees_past_int64():
+    # the sampler holds the points that remain as int64 and draws up to
+    # remaining + 1, so 2**63 - 2 is the largest degree; larger ones are
+    # refused before the event is probed
+    top = montecarlo.MAX_DEGREE
+    assert top == 2**63 - 2
+    est = montecarlo.estimate_event(top, montecarlo.Avoids({2}), trials=64, seed=3)
+    assert 0 < est.p_hat < 1
+
+    class Unprobed(montecarlo.Avoids):
+        def accepts(self, *args):
+            raise AssertionError("probed before the degree was checked")
+
+    for n in (top + 1, 2**63, 10**20):
+        with pytest.raises(ValueError, match=str(top)):
+            montecarlo.estimate_event(n, Unprobed({2}), trials=10)
+
+
 def test_estimate_validation():
     w = exact.prime_window(1, 2)
     with pytest.raises(ValueError):
