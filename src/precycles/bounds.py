@@ -1,16 +1,15 @@
 """Closed-form bounds, inequality verifiers, and certified sweeps.
 
 Each closed form is written once, as terms at one endpoint, for floats,
-numpy and mpmath alike.  A float margin beyond its error budget
+numpy and mpmath intervals alike.  A float margin beyond its error budget
 (``MARGIN``, 1e-9, or for the square-sum bound ``_SQ_BUDGET``, 6e-12,
 its derived float error) decides a verdict by its sign; a narrower one
-is decided by the exact side (a rational prime sum, pi(x) or H_n) against
-the same closed form at 50, then 200 digits, where a pair still
-inseparable fails a strict inequality and holds a non-strict one.  The
-density floor against a rational threshold is decided in integers, from
-the fixed-point bracket of :mod:`precycles.primes`.  Decimal constants
-are stored to 30 significant digits and bracketed, so each inequality
-can pick the rounding direction that makes its own check conservative.
+goes to :func:`_certified_less`, the exact side (a rational prime sum,
+pi(x), or H_n from its integer prefix) against the same closed form in
+outward-rounded intervals at 64, 256, then 1024 bits; still overlapping
+at 1024 bits, it is undecided and fails strict and non-strict alike.
+The density floor against a rational threshold is decided in integers,
+from the fixed-point bracket of :mod:`precycles.primes`.
 
 The verifiers cover:
 
@@ -33,19 +32,20 @@ and the acceptance criteria alike.
 
 :func:`sample_count`, the recognizer's draw budget, is the least m with
 (1 - c0)**m <= epsilon: a float estimate corrected with exact rational
-powers while they stay affordable, and past that a high-precision count
-at the ratio's own digit count that is separated from every integer
-boundary, so it is never off by one.  mpmath is imported only where a
-value is evaluated at high precision: an escalated verdict, the
+powers while they stay affordable, and past that the ceiling of an
+interval around the ratio of logs, at a precision doubled until both
+ends have one ceiling, so it is never off by one.  mpmath is imported
+only where a value is evaluated in intervals: an escalated verdict, the
 avoidance and gamma certificates, and counts past the exact powers.
 """
 from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,9 +60,6 @@ from .primes import (
     sum_recip_sq,
     sum_recip_sq_exact,
 )
-
-if TYPE_CHECKING:
-    import mpmath
 
 # Float comparisons closer to the boundary than this are escalated.
 MARGIN = 1e-9
@@ -94,65 +91,89 @@ def gamma_bounds() -> tuple[Fraction, Fraction]:
     return lo, lo + Fraction(1, 10**30)
 
 
-def _mpmath():
-    """mpmath, imported on the first high-precision evaluation: a process
-    whose verdicts all stand in floats or integers never loads it."""
-    import mpmath
+def _iv():
+    """mpmath.iv, imported on the first interval evaluation: a process whose
+    verdicts all stand in floats or integers never loads mpmath."""
+    from mpmath import iv
 
-    return mpmath
+    return iv
+
+
+@contextmanager
+def _precision(bits: int):
+    """mpmath.iv at ``bits`` of precision, restored on exit (iv has no workprec)."""
+    iv = _iv()
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield iv
+    finally:
+        iv.prec = saved
 
 
 def _mp_arith() -> tuple:
-    """(log, num) for the closed forms at high precision: mpmath.log and
-    mpmath.mpf, which reads "2.22" itself, never the float 2.22."""
-    mpmath = _mpmath()
-    return mpmath.log, mpmath.mpf
+    """(log, num) for the closed forms in interval arithmetic: iv.log and
+    iv.mpf, which encloses "2.22" itself, never the float 2.22."""
+    iv = _iv()
+    return iv.log, iv.mpf
 
 
-def _to_mpf(x) -> mpmath.mpf:
-    """x at the working precision.  An int or Fraction goes through one
-    integer division to a few bits past that precision: mpmath's own
-    conversion strips trailing zero bits in time quadratic in their
-    number, 6 s for 2**2000000 (a power of 1/2 that sample_count meets)."""
-    mpmath = _mpmath()
-    if not isinstance(x, (int, Fraction)):
-        return mpmath.mpf(x)
-    num, den = x.numerator, x.denominator
-    shift = mpmath.mp.prec + 8 - num.bit_length() + den.bit_length()
-    quotient = (num << shift) // den if shift >= 0 else num // (den << -shift)
-    return mpmath.ldexp(quotient, -shift)
+def _enclose(x):
+    """x as an interval: an int or float rounded outward, a Fraction as num / den."""
+    if isinstance(x, Fraction):
+        return _iv().mpf(x.numerator) / x.denominator
+    return _iv().mpf(x)
 
 
-def _certified_less(sides: Callable[[], tuple], strict: bool) -> bool:
-    """Whether lhs < rhs (strict) or lhs <= rhs, for (lhs, rhs) =
-    sides(), exact or evaluated afresh at 50, then 200 digits.  A pair
-    closer than the separation margin at both fails a strict bound and
-    holds a non-strict one."""
-    mpmath = _mpmath()
-    for dps in (50, 200):
-        with mpmath.workdps(dps):
-            a, b = map(_to_mpf, sides())
-            sep = mpmath.mpf(10) ** (8 - dps) * (1 + abs(a) + abs(b))
-            if abs(b - a) > sep:
-                return b > a
-    return not strict
+# The gamma interval by (decimal, precision), each built once.
+_GAMMA = {}
+
+
+def _gamma():
+    """The Euler-Mascheroni constant as the interval :func:`gamma_bounds`."""
+    key = (EULER_MASCHERONI, _iv().prec)
+    if key not in _GAMMA:
+        _GAMMA[key] = _iv().mpf([_enclose(g) for g in gamma_bounds()])
+    return _GAMMA[key]
+
+
+# The precisions, in bits, at which _certified_less encloses both sides
+# of a comparison until they separate.
+_PRECISIONS = (64, 256, 1024)
+
+
+def _certified_less(sides: Callable[[], tuple], strict: bool) -> bool | None:
+    """Whether lhs < rhs (strict) or lhs <= rhs, for (lhs, rhs) = sides():
+    exactly for two ints or Fractions, else on intervals around both,
+    evaluated afresh at each precision of _PRECISIONS until decided.
+    None, undecided, when the intervals still overlap at the last."""
+    for bits in _PRECISIONS:
+        with _precision(bits):
+            lhs, rhs = sides()
+            if not all(isinstance(side, (int, Fraction)) for side in (lhs, rhs)):
+                lhs, rhs = _enclose(lhs), _enclose(rhs)
+            verdict = lhs < rhs if strict else lhs <= rhs
+        if verdict is not None:
+            return verdict
+    return None
 
 
 def _report(name: str, inputs: dict, lhs: float, rhs: float, strict: bool,
             sides: Callable[[], tuple], budget: float) -> BoundReport:
     """lhs < rhs (strict) or lhs <= rhs, from floats: the sign of the
-    margin rhs - lhs beyond ``budget``, :func:`_certified_less` within it."""
+    margin rhs - lhs beyond ``budget``, :func:`_certified_less` within it,
+    where an undecided verdict fails."""
     margin = rhs - lhs
-    holds = margin > 0 if abs(margin) > budget else _certified_less(sides, strict)
+    holds = margin > 0 if abs(margin) > budget else _certified_less(sides, strict) is True
     return BoundReport(name, inputs, lhs, rhs, holds, margin)
 
 
 # ---------------------------------------------------------------------------
 # The closed forms as terms at one endpoint x.  ``log`` and ``num`` (a
 # constructor for decimal constants) are math.log and float for scalars,
-# np.log and float for sweeps, and mpmath.log and mpmath.mpf
-# (``_mp_arith()``) to escalate, so mpmath reads "2.22" itself, never the
-# float 2.22, which is larger.
+# np.log and float for sweeps, and iv.log and iv.mpf (``_mp_arith()``) to
+# escalate, so mpmath encloses "2.22" itself, never the float 2.22, which
+# is larger.
 
 
 def _pi_terms(x, log, num):
@@ -242,43 +263,26 @@ def avoidance_bounds(mu) -> AvoidanceBounds:
 
 
 def certify_avoidance_bound(q: Fraction, mu, factor: int = 1) -> bool:
-    """Certify q < factor * e**(gamma - mu) against the true constant.
-
-    Uses the bracketed gamma: below the lower evaluation certifies
-    True, above the upper evaluation certifies False, and the 1e-30
-    sliver in between raises ArithmeticError rather than guessing.
-    """
-    glo, ghi = gamma_bounds()
-    mu_f = mu if isinstance(mu, Fraction) else Fraction(mu)
-    exp = _mpmath().exp
-
-    def bound(g):
-        return factor * exp(_to_mpf(g) - _to_mpf(mu_f))
-
-    if _certified_less(lambda: (q, bound(glo)), strict=True):
-        return True
-    if _certified_less(lambda: (bound(ghi), q), strict=True):
-        return False
-    raise ArithmeticError(
-        f"q = {q} is inseparable from {factor}*e**(gamma - {mu}) at 200 digits"
-    )
+    """Certify q < factor * e**(gamma - mu) against the true constant, in
+    one interval comparison; a q that no precision separates from the
+    bound raises ArithmeticError rather than guessing."""
+    verdict = _certified_less(
+        lambda: (q, factor * _iv().exp(_gamma() - _enclose(mu))), strict=True)
+    if verdict is None:
+        raise ArithmeticError(f"q = {q} is inseparable from {factor}*e**(gamma - {mu})")
+    return verdict
 
 
 def verify_gamma_dominance(mu) -> bool:
-    """Certify e**(gamma-mu) < e**(1-mu), and < 2/(3 mu) when mu >= 1.
+    """Certify e**(gamma-mu) < e**(1-mu), and < 2/(3 mu) when mu >= 1, in
+    one interval comparison against the lesser bound; undecided fails."""
+    def sides():
+        iv, m = _iv(), _enclose(mu)
+        caps = [iv.exp(1 - m)] + ([2 / (3 * m)] if mu >= 1 else [])
+        lesser = iv.mpf([min(c.a for c in caps), min(c.b for c in caps)])
+        return iv.exp(_gamma() - m), lesser
 
-    Conservative direction: the left side uses the upper gamma bracket.
-    """
-    _, ghi = gamma_bounds()
-    if not ghi < 1:
-        return False
-    mu_f = mu if isinstance(mu, Fraction) else Fraction(mu)
-    if mu_f < 1:
-        return True
-    exp = _mpmath().exp
-    return _certified_less(lambda: (
-        exp(_to_mpf(ghi) - _to_mpf(mu_f)), 2 / (3 * _to_mpf(mu_f))
-    ), strict=True)
+    return _certified_less(sides, strict=True) is True
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +801,7 @@ _HARMONIC_BLOCK = 1 << 16
 # 8e-15 covers it.  The true margin is about 1/(12 n**2), 2.1e-14 at
 # HARMONIC_CAP, 2.6 times the budget: the sweep to the cap escalates no
 # degree.  The float margin first falls within the budget at
-# n = 2,923,015, and each escalated degree costs about 0.3 ms.
+# n = 2,923,015, where each escalated degree would cost about 30 ms.
 _HARMONIC_BUDGET = 8e-15
 
 # The largest n_max verify_harmonic_gap accepts; a sweep to it takes
@@ -843,18 +847,23 @@ def harmonic_gap(n: int) -> float:
 
 
 def _check_harmonic_gap(n: int) -> BoundReport:
-    """The harmonic gap at degree n, decided at high precision, each
-    side against the end of gamma's bracket that makes it conservative."""
-    glo, ghi = gamma_bounds()
-    mpmath = _mpmath()
+    """The harmonic gap at degree n on intervals: gamma as one, and H_n in
+    [S_n, S_n + n] * 2**-90, with S_n the sweep's integer prefix summed
+    afresh in its blocks, about 10 ms per million degrees."""
+    s_n = 0
+    for start in range(1, n + 1, _HARMONIC_BLOCK):
+        ns = np.arange(start, min(start + _HARMONIC_BLOCK, n + 1), dtype=np.int64)
+        hi, rem = np.divmod(np.int64(1 << 58), ns)
+        s_n += (int(hi.sum()) << 32) + int(((rem << 32) // ns).sum())
 
-    def exact(g):
-        return _harmonic_terms(mpmath.harmonic(n), n, _to_mpf(g), *_mp_arith())
+    def sides():
+        iv = _iv()
+        h = iv.ldexp(iv.mpf([s_n, s_n + n]), -90)
+        return _harmonic_terms(h, n, _gamma(), *_mp_arith())
 
-    holds = (_certified_less(lambda: (0, exact(ghi)[0]), strict=True)
-             and _certified_less(lambda: exact(glo), strict=True))
-    with mpmath.workdps(50):
-        gap, cap = map(float, exact(glo))
+    holds = (_certified_less(lambda: (0, sides()[0]), strict=True) is True
+             and _certified_less(sides, strict=True) is True)
+    gap, cap = _harmonic_terms(s_n / 2**90, n, float(EULER_MASCHERONI), math.log, float)
     return BoundReport("harmonic_gap", {"n": n}, gap, cap, holds,
                        min(gap, cap - gap))
 
@@ -863,7 +872,8 @@ def verify_harmonic_gap(n_max: int) -> SweepReport:
     """Check 0 < H_n - log n - gamma < 1/(2n) for all 1 <= n <= n_max.
 
     Margins above _HARMONIC_BUDGET hold in floats; the rest are decided
-    one degree at a time at 50, then 200 digits.  Raises ValueError,
+    one degree at a time by :func:`_certified_less`, with H_n enclosed
+    by its integer prefix.  Raises ValueError,
     before any block is built, for n_max > HARMONIC_CAP.
     """
     if n_max > HARMONIC_CAP:
@@ -1145,9 +1155,8 @@ def _as_fraction(x) -> Fraction:
 # 1 - c0 while m times the bits of 1 - c0 stays within this many bits.
 _POWER_BITS = 4_000_000
 
-# Integer digits the high-precision count carries beyond those of the
-# ratio log epsilon / log(1 - c0), to begin with.
-_COUNT_GUARD = 20
+# The precision, in bits, at which _mp_count first encloses its ratio.
+_COUNT_PREC = 20
 
 
 def sample_count(epsilon, c0) -> int:
@@ -1158,12 +1167,12 @@ def sample_count(epsilon, c0) -> int:
     The estimate ceil(log epsilon / log(1 - c0)) comes from float logs
     and is corrected with exact rational powers of 1 - c0 while m times
     the bits of 1 - c0 is at most 4,000,000.  Past that, or where
-    1 - epsilon or c0 is too small for a float, the ratio is evaluated in
-    mpmath at its own digit count plus a guard, with each log taken as
-    log1p of the exact q - 1 near 1; a ratio too close to an integer k
-    for that precision is decided by (1 - c0)**k against epsilon when
-    that power is no larger than epsilon itself, else at a doubled
-    guard.  So the count is never off by one.
+    1 - epsilon or c0 is too small for a float, the ratio is enclosed in
+    an interval, each log that of the enclosed q at a precision raised
+    by the bits of 1 - q, and the precision doubles until both ends of
+    the interval have one ceiling; ends that straddle an integer k are
+    decided by (1 - c0)**k against epsilon when that power is no larger
+    than epsilon itself.  So the count is never off by one.
     """
     eps = _as_fraction(epsilon)
     c = _as_fraction(c0)
@@ -1208,39 +1217,29 @@ def _float_count(eps: Fraction, base: Fraction) -> int | None:
 
 
 def _mp_count(eps: Fraction, base: Fraction) -> int:
-    """The least m with base**m <= eps < 1, from log eps / log base in
-    mpmath.
+    """The least m with base**m <= eps < 1: the ceiling of an interval
+    around log eps / log base, its precision doubled from _COUNT_PREC
+    until both ends have one.  Ends with ceilings k and k + 1 are decided
+    by base**k against eps when base**k has the bits of eps's denominator
+    (so the power costs about what eps does); otherwise eps != base**k,
+    and a higher precision in the end separates the ratio from k."""
+    from mpmath.libmp import to_int
 
-    At ``dps`` digits, with the ratio below 10**size, each log and the
-    quotient are within a few units of 10**-dps relative, so the ratio
-    is within 10**(size + 1 - dps) of the true one.  At dps = size +
-    guard, a ratio below 1 - tol, with tol = 10**(size + 2 - dps), gives
-    1, and one farther than tol from its nearest integer k has the true
-    ratio's ceiling.  One nearer is decided by base**k against eps when
-    base**k has the bits of eps's denominator (so the power costs about
-    what eps does); otherwise eps != base**k, and a doubled guard in the
-    end separates the ratio from k."""
-    mpmath = _mpmath()
+    def log(q: Fraction, bits: int):
+        # q enclosed with the bits of 1/(1 - q) to spare: near 1 its interval
+        # stays far narrower than 1 - q, and log q keeps ``bits`` relative
+        gap = q.denominator - q.numerator
+        with _precision(bits + q.denominator.bit_length() - gap.bit_length() + 4) as iv:
+            return iv.log(_enclose(q))
 
-    def log(q: Fraction):
-        return mpmath.log1p(_to_mpf(q - 1)) if 2 * q >= 1 else mpmath.log(_to_mpf(q))
-
-    guard = dps = _COUNT_GUARD
+    prec = _COUNT_PREC
     while True:
-        with mpmath.workdps(dps):
-            ratio = log(eps) / log(base)
-            size = int(abs(int(ratio)).bit_length() * 0.30103) + 1
-            if dps < size + guard:
-                dps = size + guard
-                continue
-            tol = mpmath.mpf(10) ** (size + 2 - dps)
-            if ratio < 1 - tol:
-                return 1
-            k = int(mpmath.nint(ratio))
-            if abs(ratio - k) > tol:
-                return int(mpmath.ceil(ratio))
+        with _precision(prec):
+            ratio = log(eps, prec) / log(base, prec)
+        lo, hi = (to_int(end, "c") for end in ratio._mpi_)
+        if lo == hi:
+            return lo
         d = base.denominator.bit_length()
-        if k * (d - 1) < eps.denominator.bit_length() <= k * d:
-            return k if base**k <= eps else k + 1
-        guard *= 2
-        dps = size + guard
+        if hi == lo + 1 and lo * (d - 1) < eps.denominator.bit_length() <= lo * d:
+            return lo if base**lo <= eps else hi
+        prec *= 2

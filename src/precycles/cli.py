@@ -22,12 +22,16 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import exact, montecarlo, primes, recognize
+from . import primes
 from .primes import decimal_str, fraction_str
+
+if TYPE_CHECKING:
+    from .bounds import SweepReport
+    from .recognize import ElementSource
 
 DEFAULT_SIEVE_LIMIT = 1_000_000
 
@@ -109,6 +113,8 @@ def _parse_lengths(text: str) -> frozenset[int]:
 
 
 def cmd_density(ns) -> int:
+    from . import exact
+
     chosen = [x is not None for x in (ns.p, ns.window, ns.coprime)].count(True)
     if chosen + int(ns.cycles) != 1:
         raise ValueError(
@@ -168,6 +174,9 @@ def cmd_density(ns) -> int:
 
 
 def cmd_avoid(ns) -> int:
+    from . import bounds as bounds_mod
+    from . import exact
+
     fs = exact.ForbiddenSet(ns.n, ns.lengths)
     value = exact.avoid_proportion(fs, ns.group)
     mu = fs.mu
@@ -199,7 +208,7 @@ def cmd_avoid(ns) -> int:
 # ---------------------------------------------------------- verify-primes
 
 
-def _sweep_lines(rep: bounds_mod.SweepReport) -> list[str]:
+def _sweep_lines(rep: SweepReport) -> list[str]:
     status = "ok" if rep.holds else f"FAILED ({len(rep.failures)} pairs)"
     return [
         f"{rep.name}: {status}, {rep.checked} checks, min margin "
@@ -209,6 +218,8 @@ def _sweep_lines(rep: bounds_mod.SweepReport) -> list[str]:
 
 
 def cmd_verify_primes(ns) -> int:
+    from . import bounds as bounds_mod
+
     table = primes.build_sieve(ns.sieve_limit)
     reports, spot_failures = bounds_mod.verify_battery(
         table, ns.grid_max, ns.pairs, np.random.default_rng(ns.seed))
@@ -239,6 +250,9 @@ def cmd_verify_primes(ns) -> int:
 
 
 def cmd_verify_r2(ns) -> int:
+    from . import bounds as bounds_mod
+    from . import exact
+
     table = primes.build_sieve(ns.max)
     sweep = bounds_mod.density_floor_sweep(table, ns.max, ns.threshold)
     lines = [
@@ -292,6 +306,8 @@ def cmd_verify_r2(ns) -> int:
 
 
 def cmd_bounds(ns) -> int:
+    from . import bounds as bounds_mod
+
     chosen = [
         ns.sample_count is not None,
         ns.window_bound is not None,
@@ -391,6 +407,8 @@ def cmd_bounds(ns) -> int:
 
 
 def _build_event(ns):
+    from . import exact, montecarlo
+
     if ns.event in ("window", "in-t", "in-u"):
         if ns.window is None:
             raise ValueError(f"--window is required for event {ns.event}")
@@ -407,6 +425,8 @@ def _build_event(ns):
 
 
 def cmd_estimate(ns) -> int:
+    from . import montecarlo
+
     event = _build_event(ns)
     # the exact value comes first, so an over-bound window event is
     # refused before any sampling
@@ -442,7 +462,9 @@ def cmd_estimate(ns) -> int:
 # -------------------------------------------------------------- recognize
 
 
-def _build_source(ns) -> recognize.ElementSource:
+def _build_source(ns) -> ElementSource:
+    from . import recognize
+
     if ns.source in ("sym", "alt"):
         if ns.n is None:
             raise ValueError("--n is required for uniform sources")
@@ -458,6 +480,8 @@ def _build_source(ns) -> recognize.ElementSource:
 
 
 def cmd_recognize(ns) -> int:
+    from . import recognize
+
     source = _build_source(ns)
     p_range = tuple(ns.p_range) if ns.p_range else None
     outcome = recognize.run_recognizer(
@@ -606,12 +630,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_errors() -> tuple:
+    """The errors that exit 2: ValueError, OSError, and the recognizer's
+    SourceError once a command has loaded that layer."""
+    recognize = sys.modules.get(f"{__package__}.recognize")
+    return (ValueError, OSError) + ((recognize.SourceError,) if recognize else ())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, OSError, recognize.SourceError) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ sums over half-open intervals (a, b], the prime-counting bounds
 x/log x <= pi(x) <= (x/log x)(1 + 3/(2 log x)), and the density-floor
 sweep.  Their closed forms and verdicts live in :mod:`precycles.bounds`:
 floats where the margin is wide, and otherwise the exact sums from here
-against the closed form at 50, then 200 digits.
+against the closed form in outward-rounded intervals.
 
 A table holds only its primes and two prefix sums over them, 24 bytes
 per prime.  pi(x) is the position of x in the ascending prime list: a

@@ -49,6 +49,33 @@ def test_gamma_dominance(mu):
     assert bounds.verify_gamma_dominance(mu)
 
 
+def test_gamma_interval_encloses_euler():
+    with bounds._precision(1024) as iv:
+        gamma, euler = bounds._gamma(), +iv.euler
+        assert gamma.a <= euler.a and euler.b <= gamma.b
+
+
+def test_an_undecided_verdict_fails(table_small, monkeypatch):
+    # at one precision of 2 bits no escalated comparison separates its
+    # sides: true spot checks, strict and not, fail; the avoidance
+    # certificate 7e-8 from its bound raises; gamma dominance fails
+    def spots():
+        return [bounds.check_recip_sq_upper(table_small, 12, 100),
+                *bounds.check_recip_bounds(table_small, 100, 101)]
+
+    q = Fraction(65522, 100_000)  # e**(gamma - 1) = 0.6552199...
+    assert not bounds.certify_avoidance_bound(q, 1)
+    assert bounds.verify_gamma_dominance(1)
+    monkeypatch.setattr(bounds, "MARGIN", math.inf)
+    monkeypatch.setattr(bounds, "_SQ_BUDGET", math.inf)
+    assert all(r.holds for r in spots())
+    monkeypatch.setattr(bounds, "_PRECISIONS", (2,))
+    assert not any(r.holds for r in spots())
+    with pytest.raises(ArithmeticError):
+        bounds.certify_avoidance_bound(q, 1)
+    assert not bounds.verify_gamma_dominance(1)
+
+
 def test_prime_sum_bounds_values():
     psb = bounds.prime_sum_bounds(12, 12)
     want = (2.22 - 1.61) / (12 * math.log(12))
@@ -276,21 +303,34 @@ def _perturbed(terms, old, new):
     return perturbed
 
 
-# Negative controls on the 10**5 table: (closed form, constant, perturbed
-# value, sweep, lowest a or x, failures by name, first failing inputs).
-# The π upper constant 1.25 fails 9 x in [1307, 2861]; the square-sum
-# 1.62 fails 85 pairs, from (16, 17); the reciprocal half term -0.2
-# fails the lower side alone, at (19, 1422), and -0.4 three pairs on the
-# upper side and two on the lower.
+def _scaled_lower(terms, factor):
+    """The closed form ``terms`` with its lower term multiplied by the
+    decimal ``factor``, in floats, numpy and mpmath alike."""
+    def scaled(x, log, num):
+        lower, upper = terms(x, log, num)
+        return lower * num(factor), upper
+    return scaled
+
+
+# Negative controls on the 10**5 table: (closed form, its perturbation
+# and that one's arguments, sweep, lowest a or x, failures by name,
+# first failing inputs).  The π upper constant 1.25 fails 9 x in
+# [1307, 2861]; the π lower term times 1.105 fails 1773 x, five below 37
+# and the rest from 85,816 on (1.12 fails 14,194, too many to recheck
+# within the test's 0.3 s); the square-sum 1.62 fails 85 pairs, from
+# (16, 17); the reciprocal half term -0.2 fails the lower side alone, at
+# (19, 1422), and -0.4 three pairs on the upper side and two on the lower.
 NEGATIVE_CONTROLS = {
-    "pi": ("_pi_terms", "1.5", "1.25", "verify_pi_bounds_range", 11,
+    "pi": ("_pi_terms", _perturbed, ("1.5", "1.25"), "verify_pi_bounds_range", 11,
            {"pi_upper": 9}, {"x": 1307}),
-    "square_sum": ("_sq_terms", "2.22", "1.62", "verify_recip_sq_upper_all", 12,
-                   {"recip_sq_upper": 85}, {"a": 16, "b": 17}),
-    "recip_lower": ("_recip_terms", "0.5", "-0.2", "verify_recip_bounds_all", 2,
-                    {"recip_lower": 1}, {"a": 19, "b": 1422}),
-    "recip_upper": ("_recip_terms", "0.5", "-0.4", "verify_recip_bounds_all", 2,
-                    {"recip_lower": 2, "recip_upper": 3}, {"a": 19, "b": 222}),
+    "pi_lower": ("_pi_terms", _scaled_lower, ("1.105",), "verify_pi_bounds_range", 11,
+                 {"pi_lower": 1773}, {"x": 11}),
+    "square_sum": ("_sq_terms", _perturbed, ("2.22", "1.62"), "verify_recip_sq_upper_all",
+                   12, {"recip_sq_upper": 85}, {"a": 16, "b": 17}),
+    "recip_lower": ("_recip_terms", _perturbed, ("0.5", "-0.2"), "verify_recip_bounds_all",
+                    2, {"recip_lower": 1}, {"a": 19, "b": 1422}),
+    "recip_upper": ("_recip_terms", _perturbed, ("0.5", "-0.4"), "verify_recip_bounds_all",
+                    2, {"recip_lower": 2, "recip_upper": 3}, {"a": 19, "b": 222}),
 }
 
 
@@ -302,10 +342,10 @@ def test_perturbed_sweeps_fail_as_the_full_reference_does(
         side, blocks, table_medium, monkeypatch):
     # the branch and bound must find every failure that evaluating every
     # step end finds, not only agree where every inequality holds
-    form, old, new, sweep, lowest, counts, first = NEGATIVE_CONTROLS[side]
+    form, perturb, args, sweep, lowest, counts, first = NEGATIVE_CONTROLS[side]
     for name, value in blocks.items():
         monkeypatch.setattr(bounds, name, value)
-    monkeypatch.setattr(bounds, form, _perturbed(getattr(bounds, form), old, new))
+    monkeypatch.setattr(bounds, form, perturb(getattr(bounds, form), *args))
     lo, hi = lowest, table_medium.limit
     got = getattr(bounds, sweep)(table_medium, lo, hi)
     want = getattr(bounds_reference, sweep)(table_medium, lo, hi)
@@ -746,15 +786,15 @@ def test_sample_count_is_minimal(epsilon, c0):
         assert (1 - c0) ** (m - 1) > epsilon
 
 
-@pytest.mark.parametrize("guard", [bounds._COUNT_GUARD, 1])
+@pytest.mark.parametrize("start", [bounds._COUNT_PREC, 1])
 @pytest.mark.parametrize("k", [20, 40, 55, 70, 300])
-def test_sample_count_matches_a_high_precision_reference(k, guard, monkeypatch):
+def test_sample_count_matches_a_high_precision_reference(k, start, monkeypatch):
     # past the exact-power rule: c0 = 10**-k, against log1p at 3k + 60
     # digits; at 60 digits log(1 - c0) lost 10**-40 (too few draws) and
-    # 10**-55 (too many), and from 10**-70 on divided by zero.  A guard
-    # of one digit separates no ratio from an integer at first, so the
-    # count doubles it until it does
-    monkeypatch.setattr(bounds, "_COUNT_GUARD", guard)
+    # 10**-55 (too many), and from 10**-70 on divided by zero.  A start
+    # of one bit separates no ratio from an integer at first, so the
+    # count doubles its precision until it does
+    monkeypatch.setattr(bounds, "_COUNT_PREC", start)
     c0 = Fraction(1, 10**k)
     with mp.workdps(3 * k + 60):
         ratio = mp.log(mp.mpf(1) / 100) / mp.log1p(-mp.mpf(c0.numerator) / c0.denominator)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from precycles import bounds, cli, montecarlo, perm, primes, recognize
+from precycles import bounds, cli, exact, montecarlo, perm, primes, recognize
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -287,6 +287,15 @@ def test_recognize_replay(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_recognize_source_error_is_usage_error(tmp_path, capsys):
+    # SourceError comes from a layer the command loads itself
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    code, out, err = run(["recognize", "--source", "replay", "--file", str(path)], capsys)
+    assert code == 2 and not out
+    assert "no permutations to replay" in err
+
+
 def test_recognize_small_degree_is_usage_error(capsys):
     code, _, err = run(
         ["recognize", "--source", "sym", "--n", "6"], capsys)
@@ -397,7 +406,7 @@ def test_big_exact_values_print_in_full(capsys):
     # digits a side, past the default cap on int-to-str digits
     code, out, _ = run(["avoid", "--n", "3000", "--lengths", "2"], capsys)
     assert code == 0
-    value = cli.exact.avoid_proportion(cli.exact.ForbiddenSet(3000, {2}))
+    value = exact.avoid_proportion(exact.ForbiddenSet(3000, {2}))
     want = primes.fraction_str(value)
     assert len(want) > 9000 and f"= {want} ~" in out
 

@@ -97,9 +97,22 @@ def test_exact_estimate_and_recognize_leave_mpmath_unloaded():
     ]
 
 
+def test_cli_density_loads_only_the_exact_layers():
+    # each subcommand imports the layers it uses: density needs exact and
+    # what exact imports, not bounds, montecarlo or recognize
+    loaded = fresh(
+        "import sys, json, contextlib, io\n"
+        "from precycles import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['density', '--n', '20', '--cycles']) == 0\n"
+        "print(" + LOADED + ")\n")
+    assert loaded == ["precycles.cli", "precycles.exact", "precycles.perm",
+                      "precycles.primes"]
+
+
 def test_an_escalation_loads_mpmath_and_keeps_its_verdict():
-    # 1/3 against 1/3 is inseparable at every precision: a non-strict
-    # bound holds and a strict one fails, decided in mpmath
+    # 1/3 against 1/3, two Fractions, is compared exactly: a non-strict
+    # bound holds and a strict one fails
     got = fresh(
         "import sys, json\n"
         "from fractions import Fraction\n"
