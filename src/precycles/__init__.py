@@ -5,8 +5,6 @@ Each public name, and each layer (``precycles.bounds`` and so on), is
 imported on first access, so a process loads only the layers it calls.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -100,12 +98,19 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_EXPORTS, *_HOME])
 
 
+def _layer(name: str):
+    """The layer ``name``, loaded through ``__import__``, which
+    ``python -X importtime`` times (importlib.import_module it does not)."""
+    __import__(f"{__name__}.{name}")
+    return globals()[name]
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
+        return _layer(name)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    value = getattr(_layer(_HOME[name]), name)
     globals()[name] = value
     return value
 

@@ -26,9 +26,9 @@ The verifiers cover:
   (delta = 1) it is 0.016 at e**12, where it is first asserted, and
   0.31 at 10**9.
 
-:func:`verify_battery` runs the prime-count, prime-sum and harmonic-gap
-sweeps and the random spot pairs as one battery, for the command line
-and the acceptance criteria alike.
+:func:`verify_battery` runs the prime-count sweep, both prime-sum pair
+grids and the harmonic-gap sweep over one whole table as one battery,
+for the command line and the acceptance criteria alike.
 
 :func:`sample_count`, the recognizer's draw budget, is the least m with
 (1 - c0)**m <= epsilon: a float estimate corrected with exact rational
@@ -894,32 +894,21 @@ def verify_harmonic_gap(n_max: int) -> SweepReport:
 # The certified battery.
 
 
-def verify_battery(
-    table: PrimeTable, grid_max: int, pairs: int, rng: np.random.Generator
-) -> tuple[list[SweepReport], list[BoundReport]]:
+def verify_battery(table: PrimeTable) -> list[SweepReport]:
     """Run the prime-count, prime-sum and harmonic-gap checks on one table.
 
-    Four sweeps: the prime-counting bounds over [11, limit], the
-    square-sum grid over [12, grid_max], the reciprocal bracket grid
-    over [2, grid_max] and the harmonic gap over
-    [1, min(limit, HARMONIC_CAP)].  Then ``pairs`` random spot pairs,
-    a uniform in [12, limit] and b uniform in [a, limit] from ``rng``,
-    each against both prime-sum bounds.  Returns the four sweep reports
-    and the failing spot reports.
+    Four sweeps, each over the whole table: the prime-counting bounds
+    over [11, limit], the square-sum grid over every pair
+    12 <= a <= b <= limit, the reciprocal bracket grid over every pair
+    2 <= a <= b <= limit and the harmonic gap over
+    [1, min(limit, HARMONIC_CAP)].  Returns the four sweep reports.
     """
-    sweeps = [
-        verify_pi_bounds_range(table, 11, table.limit),
-        verify_recip_sq_upper_all(table, 12, grid_max),
-        verify_recip_bounds_all(table, 2, grid_max),
+    return [
+        verify_pi_bounds_range(table),
+        verify_recip_sq_upper_all(table),
+        verify_recip_bounds_all(table),
         verify_harmonic_gap(min(table.limit, HARMONIC_CAP)),
     ]
-    spot_failures = []
-    for _ in range(pairs):
-        a = int(rng.integers(12, table.limit + 1))
-        b = int(rng.integers(a, table.limit + 1))
-        spots = (check_recip_sq_upper(table, a, b), *check_recip_bounds(table, a, b))
-        spot_failures.extend(r for r in spots if not r.holds)
-    return sweeps, spot_failures
 
 
 # ---------------------------------------------------------------------------
@@ -1169,10 +1158,12 @@ def sample_count(epsilon, c0) -> int:
     the bits of 1 - c0 is at most 4,000,000.  Past that, or where
     1 - epsilon or c0 is too small for a float, the ratio is enclosed in
     an interval, each log that of the enclosed q at a precision raised
-    by the bits of 1 - q, and the precision doubles until both ends of
-    the interval have one ceiling; ends that straddle an integer k are
-    decided by (1 - c0)**k against epsilon when that power is no larger
-    than epsilon itself.  So the count is never off by one.
+    by the bits of 1 - q.  The precision starts 20 bits past those of
+    the float estimate (at 20 bits where there is none) and doubles
+    until both ends of the interval have one ceiling; ends that straddle
+    an integer k are decided by (1 - c0)**k against epsilon when that
+    power is no larger than epsilon itself.  So the count is never off
+    by one.
     """
     eps = _as_fraction(epsilon)
     c = _as_fraction(c0)
@@ -1186,7 +1177,7 @@ def sample_count(epsilon, c0) -> int:
     m = _float_count(eps, base)
     bits = base.numerator.bit_length() + base.denominator.bit_length()
     if m is None or m * bits > _POWER_BITS:
-        return _mp_count(eps, base)
+        return _mp_count(eps, base, m)
     while m > 1 and base ** (m - 1) <= eps:
         m -= 1
     while base**m > eps:
@@ -1216,13 +1207,15 @@ def _float_count(eps: Fraction, base: Fraction) -> int | None:
     return max(math.ceil(ratio), 1) if math.isfinite(ratio) else None
 
 
-def _mp_count(eps: Fraction, base: Fraction) -> int:
+def _mp_count(eps: Fraction, base: Fraction, estimate: int | None) -> int:
     """The least m with base**m <= eps < 1: the ceiling of an interval
-    around log eps / log base, its precision doubled from _COUNT_PREC
-    until both ends have one.  Ends with ceilings k and k + 1 are decided
-    by base**k against eps when base**k has the bits of eps's denominator
-    (so the power costs about what eps does); otherwise eps != base**k,
-    and a higher precision in the end separates the ratio from k."""
+    around log eps / log base, its precision doubled until both ends have
+    one, from _COUNT_PREC bits past those of the float ``estimate`` of m
+    (from _COUNT_PREC where there is none).  Ends with ceilings k and
+    k + 1 are decided by base**k against eps when base**k has the bits of
+    eps's denominator (so the power costs about what eps does); otherwise
+    eps != base**k, and a higher precision in the end separates the ratio
+    from k."""
     from mpmath.libmp import to_int
 
     def log(q: Fraction, bits: int):
@@ -1232,7 +1225,7 @@ def _mp_count(eps: Fraction, base: Fraction) -> int:
         with _precision(bits + q.denominator.bit_length() - gap.bit_length() + 4) as iv:
             return iv.log(_enclose(q))
 
-    prec = _COUNT_PREC
+    prec = _COUNT_PREC + (estimate or 0).bit_length()
     while True:
         with _precision(prec):
             ratio = log(eps, prec) / log(base, prec)

@@ -221,14 +221,11 @@ def cmd_verify_primes(ns) -> int:
     from . import bounds as bounds_mod
 
     table = primes.build_sieve(ns.sieve_limit)
-    reports, spot_failures = bounds_mod.verify_battery(
-        table, ns.grid_max, ns.pairs, np.random.default_rng(ns.seed))
-    ok = all(r.holds for r in reports) and not spot_failures
+    reports = bounds_mod.verify_battery(table)
+    ok = all(r.holds for r in reports)
     lines = []
     for rep in reports:
         lines.extend(_sweep_lines(rep))
-    lines.append(f"random spot checks: {ns.pairs} pairs, "
-                 f"{len(spot_failures)} failures")
     lines.append("all prime inequalities hold" if ok
                  else "PRIME INEQUALITY FAILURES FOUND")
     emit(
@@ -238,8 +235,6 @@ def cmd_verify_primes(ns) -> int:
              "min_margin": r.min_margin, "argmin": r.argmin,
              "escalations": r.escalations}
             for r in reports],
-         "spot_pairs": ns.pairs,
-         "spot_failures": [r.to_json_dict() for r in spot_failures],
          "ok": ok},
         lines,
     )
@@ -562,10 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-primes",
                        help="prime-count, prime-sum and harmonic-gap sweeps")
-    p.add_argument("--grid-max", type=int, default=2000)
-    p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--sieve-limit", type=int, default=DEFAULT_SIEVE_LIMIT)
-    _add_common(p, seed=True)
+    _add_common(p)
     p.set_defaults(func=cmd_verify_primes)
 
     p = sub.add_parser("verify-r2",

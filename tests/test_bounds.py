@@ -180,7 +180,7 @@ def test_pi_bounds_range_matches_every_x():
         xs = np.arange(lo, hi + 1)
         logs = np.log(xs)
         base = xs / logs
-        pis = table.pi_prefix[lo : hi + 1].astype(float)
+        pis = np.searchsorted(table.primes, xs, "right").astype(float)
         margins = np.minimum(pis - base, base * (1.0 + 1.5 / logs) - pis)
         k = int(np.argmin(margins))
         assert rep.min_margin == float(margins[k]), (lo, hi)
@@ -207,7 +207,7 @@ def _every_pair_report(name, xs, margins, budget, recheck, witness_b):
 def _sq_every_pair(table, a_lo, b_hi):
     xs = np.arange(a_lo, b_hi + 1)
     logs = np.log(xs)
-    s2 = (table.s2_prefix * primes.FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
+    s2 = (table.s2_prefix * primes.FIXED_UNIT)[np.searchsorted(table.primes, xs, "right")]
     f = s2 + 1.61 / (xs * logs)
     g = s2 + 2.22 / (xs * logs)
     margins = g - np.maximum.accumulate(f[::-1])[::-1]
@@ -221,7 +221,7 @@ def _recip_every_pair(table, a_lo, b_hi):
     xs = np.arange(a_lo, b_hi + 1)
     loglogs = np.log(np.log(xs))
     inv2 = 1.0 / np.log(xs) ** 2
-    s1 = (table.s1_prefix * primes.FIXED_UNIT)[table.pi_prefix[a_lo : b_hi + 1]]
+    s1 = (table.s1_prefix * primes.FIXED_UNIT)[np.searchsorted(table.primes, xs, "right")]
     plus = s1 - loglogs + 0.5 * inv2
     minus = s1 - loglogs - inv2
     low = _every_pair_report(
@@ -376,14 +376,40 @@ def test_perturbed_harmonic_gap_fails_where_it_should(block, monkeypatch):
 
 def test_verify_primes_exits_1_under_a_perturbed_form(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "_pi_terms", _perturbed(bounds._pi_terms, "1.5", "1.25"))
-    argv = ["verify-primes", "--sieve-limit", "10000", "--grid-max", "300",
-            "--pairs", "20", "--format", "json"]
+    argv = ["verify-primes", "--sieve-limit", "10000", "--format", "json"]
     assert cli.main(argv) == 1
     blob = json.loads(capsys.readouterr().out)
     assert blob["ok"] is False
     assert {r["name"]: r["holds"] for r in blob["sweeps"]} == {
         "pi_bounds_range": False, "recip_sq_upper_all": True,
         "recip_bounds_all": True, "harmonic_gap": True}
+
+
+def test_verify_primes_finds_a_square_sum_failure_near_the_top(monkeypatch, capsys):
+    # the upper term 2.22/(a log a) lowered by 5.3e-7 keeps its monotone
+    # pieces and reaches the rechecks through ``num``; it fails only for
+    # a >= 99,960 of a 10^5 table, where the true margin, about
+    # 0.61/(a log a), is below 5.3e-7: far above any grid of b <= 2000
+    sq_terms = bounds._sq_terms
+
+    def lowered(x, log, num):
+        upper, lower = sq_terms(x, log, num)
+        return upper - num("5.3e-7"), lower
+
+    monkeypatch.setattr(bounds, "_sq_terms", lowered)
+    assert cli.main(["verify-primes", "--sieve-limit", "100000", "--format", "json"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["ok"] is False
+    sweeps = {r["name"]: r for r in blob["sweeps"]}
+    assert {name: r["holds"] for name, r in sweeps.items()} == {
+        "pi_bounds_range": True, "recip_sq_upper_all": False,
+        "recip_bounds_all": True, "harmonic_gap": True}
+    assert sweeps["recip_sq_upper_all"]["argmin"] == {"a": 99_988, "b": 99_991}
+    rep = bounds.verify_recip_sq_upper_all(primes.build_sieve(100_000))
+    assert [(r.inputs["a"], r.inputs["b"]) for r in rep.failures] == [
+        (99_960, 99_961), (99_970, 99_971), (99_988, 99_991), (99_989, 99_991),
+        (99_990, 99_991), (99_991, 99_991), (100_000, 100_000)]
+    assert rep.escalations == 7
 
 
 def _count_evaluated_sub_blocks(monkeypatch):
@@ -787,13 +813,15 @@ def test_sample_count_is_minimal(epsilon, c0):
 
 
 @pytest.mark.parametrize("start", [bounds._COUNT_PREC, 1])
-@pytest.mark.parametrize("k", [20, 40, 55, 70, 300])
+@pytest.mark.parametrize("k", [20, 40, 55, 70, 300, 400])
 def test_sample_count_matches_a_high_precision_reference(k, start, monkeypatch):
     # past the exact-power rule: c0 = 10**-k, against log1p at 3k + 60
     # digits; at 60 digits log(1 - c0) lost 10**-40 (too few draws) and
     # 10**-55 (too many), and from 10**-70 on divided by zero.  A start
-    # of one bit separates no ratio from an integer at first, so the
-    # count doubles its precision until it does
+    # of one bit past the float estimate's bits does not separate the
+    # ratio from an integer at 10**-20 and 10**-55, so the count doubles
+    # its precision there until it does; 10**-400, below the least
+    # normal float, has no estimate and doubles from the start alone
     monkeypatch.setattr(bounds, "_COUNT_PREC", start)
     c0 = Fraction(1, 10**k)
     with mp.workdps(3 * k + 60):
@@ -801,6 +829,28 @@ def test_sample_count_matches_a_high_precision_reference(k, start, monkeypatch):
         want = int(mp.ceil(ratio))
         assert abs(ratio - mp.nint(ratio)) > mp.mpf(10) ** -(2 * k)  # no boundary case
     assert bounds.sample_count(Fraction(1, 100), c0) == want
+
+
+@pytest.mark.parametrize("k, rungs", [
+    (70, [bounds._COUNT_PREC + 235]),
+    (300, [bounds._COUNT_PREC + 999]),
+    (400, [bounds._COUNT_PREC << i for i in range(8)]),
+])
+def test_sample_count_starts_past_the_float_estimate(k, rungs, monkeypatch):
+    # c0 = 10**-70 and 10**-300 have a float estimate of the count (235
+    # and 999 bits), and one interval _COUNT_PREC bits past it decides;
+    # 10**-400 has none, so the precision doubles from _COUNT_PREC until
+    # the ceilings agree
+    seen, precision = [], bounds._precision
+
+    def recording(bits):
+        seen.append(bits)
+        return precision(bits)
+
+    monkeypatch.setattr(bounds, "_precision", recording)
+    bounds.sample_count(Fraction(1, 100), Fraction(1, 10**k))
+    # each rung encloses the ratio, then the two logs at their own precision
+    assert seen[::3] == rungs
 
 
 @pytest.mark.parametrize("eps, c0, want", [

@@ -305,17 +305,20 @@ def test_recognize_small_degree_is_usage_error(capsys):
 
 def test_verify_primes_small(capsys):
     code, out, _ = run(
-        ["verify-primes", "--sieve-limit", "20000", "--grid-max", "200",
-         "--pairs", "20", "--format", "json"], capsys)
+        ["verify-primes", "--sieve-limit", "20000", "--format", "json"], capsys)
     assert code == 0
     blob = json.loads(out)
     assert blob["ok"] is True
     assert all(s["holds"] for s in blob["sweeps"])
+    # both prime-sum grids cover every pair of the table
+    checked = {s["name"]: s["checked"] for s in blob["sweeps"]}
+    assert checked["recip_sq_upper_all"] == bounds._pairs(12, 20000)
+    assert checked["recip_bounds_all"] == 2 * bounds._pairs(2, 20000)
 
 
 def test_verify_primes_defaults_add_only_the_harmonic_gap(capsys):
-    # the prime sweeps and spot pairs are those of the battery before the
-    # harmonic gap joined it
+    # the π sweep is that of the battery before the harmonic gap joined
+    # it; both prime-sum grids span the whole 10^6 table
     code, out, _ = run(["verify-primes", "--format", "json"], capsys)
     assert code == 0
     blob = json.loads(out)
@@ -323,23 +326,23 @@ def test_verify_primes_defaults_add_only_the_harmonic_gap(capsys):
     assert blob["sweeps"] == [
         {"argmin": {"x": 12}, "checked": 999_990, "escalations": 0,
          "holds": True, "name": "pi_bounds_range"},
-        {"argmin": {"a": 1996, "b": 1999}, "checked": 1_979_055,
+        {"argmin": {"a": 999_978, "b": 999_983}, "checked": 499_989_500_055,
          "escalations": 0, "holds": True, "name": "recip_sq_upper_all"},
-        {"argmin": {"a": 19, "b": 1972}, "checked": 3_998_000,
+        {"argmin": {"a": 19, "b": 996_840}, "checked": 999_999_000_000,
          "escalations": 0, "holds": True, "name": "recip_bounds_all"},
         {"argmin": {"n": 999_988}, "checked": 10**6, "escalations": 0,
          "holds": True, "name": "harmonic_gap"},
     ]
     assert margins[:3] == pytest.approx(
-        [0.17084474741786426, 3.989706635559864e-05, 0.011491118191286953],
+        [0.17084474741786426, 4.4152938860619884e-08, 0.003935228423032067],
         rel=1e-9)
-    assert (blob["spot_pairs"], blob["spot_failures"]) == (1000, [])
+    assert set(blob) == {"sweeps", "ok"}
 
 
 def test_verify_primes_harmonic_gap_stops_at_its_cap(capsys):
     code, out, _ = run(
-        ["verify-primes", "--sieve-limit", "2000100", "--pairs", "10",
-         "--format", "json"], capsys)
+        ["verify-primes", "--sieve-limit", "2000100", "--format", "json"],
+        capsys)
     assert code == 0
     sweeps = {s["name"]: s for s in json.loads(out)["sweeps"]}
     assert sweeps["harmonic_gap"]["checked"] == bounds.HARMONIC_CAP == 2_000_000
@@ -431,6 +434,9 @@ def test_avoid_alt_5000_is_decided_without_runaway():
 def test_removed_options_are_usage_errors(capsys):
     for argv in (
         ["verify-primes", "--sieve-cache", "x"],
+        ["verify-primes", "--grid-max", "2000"],
+        ["verify-primes", "--pairs", "1000"],
+        ["verify-primes", "--seed", "0"],
         ["verify-r2", "--sieve-limit", "1000000"],
         ["estimate", "--n", "9", "--event", "window", "--window", "1", "5",
          "--threads", "2"],
@@ -446,8 +452,8 @@ def test_sieve_limit_ignores_cache_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PRECYCLES_SIEVE_CACHE", str(tmp_path / "sieve.bin"))
     for limit in (20000, 5000):
         code, out, _ = run(
-            ["verify-primes", "--sieve-limit", str(limit), "--grid-max", "60",
-             "--pairs", "5", "--format", "json"], capsys)
+            ["verify-primes", "--sieve-limit", str(limit), "--format", "json"],
+            capsys)
         assert code == 0
         sweeps = {s["name"]: s for s in json.loads(out)["sweeps"]}
         assert sweeps["pi_bounds_range"]["checked"] == limit - 10

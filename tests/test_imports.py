@@ -140,3 +140,22 @@ def test_every_public_name_resolves_to_its_layer():
     assert {name for name in star if name != "__builtins__"} == set(precycles.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         precycles.no_such_name
+
+
+def test_importtime_lists_the_lazily_loaded_layers():
+    # the package loads each layer through __import__, which
+    # ``python -X importtime`` times, so every layer that density loads
+    # is listed, and the listing changes nothing the command prints
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["-m", "precycles.cli", "density", "--n", "20", "--cycles"]
+    timed, plain = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       text=True, env=env, timeout=60)
+        for flags in (["-X", "importtime"], []))
+    assert timed.returncode == plain.returncode == 0, timed.stderr
+    assert timed.stdout == plain.stdout
+    listed = {line.rsplit("|", 1)[-1].strip() for line in timed.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"precycles.exact", "precycles.perm", "precycles.primes"} <= listed

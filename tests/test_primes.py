@@ -28,12 +28,13 @@ def _trial_division(k: int) -> bool:
 
 
 def test_sieve_matches_trial_division(table_small):
+    listed = set(table_small.primes.tolist())
     for k in range(10_001):
-        assert bool(table_small.is_prime[k]) == _trial_division(k), k
+        assert (k in listed) == _trial_division(k), k
     # every small limit, so the last base prime falls at each position
     for limit in range(2, 301):
-        got = primes.build_sieve(limit).is_prime.tolist()
-        assert got == [_trial_division(k) for k in range(limit + 1)], limit
+        got = primes.build_sieve(limit).primes.tolist()
+        assert got == [k for k in range(limit + 1) if _trial_division(k)], limit
 
 
 @pytest.mark.parametrize("segment", [1, 2, 7, 64])
@@ -56,7 +57,7 @@ def test_pi_known_values(table_large):
 @given(st.integers(min_value=2, max_value=10_000))
 def test_pi_prefix_consistent(table_small, x):
     step = table_small.pi(x) - table_small.pi(x - 1)
-    assert step == int(table_small.is_prime[x])
+    assert step == int(primes.sieve_interval(x, x)[0])
 
 
 def test_primes_between_floor_semantics(table_small):
@@ -76,7 +77,7 @@ def test_primes_between_is_a_slice_of_the_sieve(table_small, x, y):
     a, b = min(x, y), max(x, y)
     got = table_small.primes_between(a, b)
     ia, ib = math.floor(a), math.floor(b)
-    want = np.flatnonzero(table_small.is_prime[ia + 1 : ib + 1]) + ia + 1
+    want = np.flatnonzero(primes.sieve_interval(ia + 1, ib)) + ia + 1
     assert got.tolist() == want.tolist()
     assert not got.flags.writeable
     with pytest.raises(ValueError):
@@ -95,7 +96,7 @@ def test_exact_and_float_sums_agree(table_small, a, width):
     assert abs(float(exact_sq) - approx_sq) < 1e-12
     # the fixed-point prefixes bracket both exact sums:
     # S <= 2**60 * sum <= S + count
-    i, j = table_small.pi_prefix[a], table_small.pi_prefix[b]
+    i, j = np.searchsorted(table_small.primes, (a, b), "right")
     count = int(j - i)
     for prefix, value in ((table_small.s1_prefix, exact),
                           (table_small.s2_prefix, exact_sq)):
