@@ -225,7 +225,8 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Summary of a bulk inequality sweep."""
+    """Summary of a bulk inequality sweep; ``failures`` are ordered by
+    position."""
 
     name: str
     checked: int
@@ -237,6 +238,9 @@ class SweepReport:
     @property
     def holds(self) -> bool:
         return not self.failures
+
+    def to_json_dict(self) -> dict:
+        return {**asdict(self), "holds": self.holds}
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +310,11 @@ class PrimeSumBounds:
 
 
 def prime_sum_bounds(a: float, b: float) -> PrimeSumBounds:
-    return _prime_sum_bounds(a, b, math.log, float)
-
-
-def _prime_sum_bounds(a, b, log, num) -> PrimeSumBounds:
-    """The closed forms over (a, b] from their endpoint terms, in the
-    arithmetic of ``log`` and ``num``."""
+    """The closed forms over (a, b] from their endpoint terms."""
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
-    sq = _sq_upper(a, b, log, num) if a >= 12 else None
-    lo, hi = _recip_bracket(a, b, log, num) if a >= 2 else (None, None)
+    sq = _sq_upper(a, b, math.log, float) if a >= 12 else None
+    lo, hi = _recip_bracket(a, b, math.log, float) if a >= 2 else (None, None)
     return PrimeSumBounds(float(a), float(b), sq, lo, hi)
 
 

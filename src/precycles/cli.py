@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -160,7 +161,7 @@ def cmd_density(ns) -> int:
         ns,
         {"kind": "window", "n": ns.n, "group": ns.group,
          "window": [lo, hi], "primes": list(window.primes),
-         "value": value, "hit": stats.hit, "repeat": stats.repeat},
+         "value": value, **stats._asdict()},
         [f"primes in ({lo}, {hi}]: {list(window.primes)}",
          f"pre-p-cycle proportion of {group_name}_{ns.n} = {_qstr(value)} "
          f"~ {float(value):.6g}",
@@ -209,7 +210,9 @@ def cmd_avoid(ns) -> int:
 
 
 def _sweep_lines(rep: SweepReport) -> list[str]:
-    status = "ok" if rep.holds else f"FAILED ({len(rep.failures)} pairs)"
+    status = "ok" if rep.holds else (
+        f"FAILED ({len(rep.failures)} failures, first at "
+        f"{rep.failures[0].inputs})")
     return [
         f"{rep.name}: {status}, {rep.checked} checks, min margin "
         f"{rep.min_margin:.3e} at {rep.argmin}, "
@@ -230,12 +233,7 @@ def cmd_verify_primes(ns) -> int:
                  else "PRIME INEQUALITY FAILURES FOUND")
     emit(
         ns,
-        {"sweeps": [
-            {"name": r.name, "holds": r.holds, "checked": r.checked,
-             "min_margin": r.min_margin, "argmin": r.argmin,
-             "escalations": r.escalations}
-            for r in reports],
-         "ok": ok},
+        {"sweeps": [r.to_json_dict() for r in reports], "ok": ok},
         lines,
     )
     return 0 if ok else 1
@@ -362,10 +360,7 @@ def cmd_bounds(ns) -> int:
         dom = bounds_mod.verify_gamma_dominance(float(mu))
         emit(
             ns,
-            {"kind": "avoidance", "mu": mu,
-             "mu_inverse": ab.mu_inverse,
-             "e_one_minus_mu": ab.e_one_minus_mu,
-             "e_gamma_minus_mu": ab.e_gamma_minus_mu,
+            {"kind": "avoidance", "mu": mu, **ab._asdict(),
              "gamma_bound_dominates": dom},
             [f"avoidance bounds at mu = {fraction_str(mu)}: "
              f"1/mu = {ab.mu_inverse:.6g}, "
@@ -389,10 +384,7 @@ def cmd_bounds(ns) -> int:
         lines.append("  sum 1/p bracket needs a >= 2")
     emit(
         ns,
-        {"kind": "prime-sums", "a": float(a), "b": float(b),
-         "recip_sq_upper": psb.recip_sq_upper,
-         "recip_lower": psb.recip_lower,
-         "recip_upper": psb.recip_upper},
+        {"kind": "prime-sums", **dataclasses.asdict(psb)},
         lines,
     )
     return 0

@@ -383,6 +383,10 @@ def test_verify_primes_exits_1_under_a_perturbed_form(monkeypatch, capsys):
     assert {r["name"]: r["holds"] for r in blob["sweeps"]} == {
         "pi_bounds_range": False, "recip_sq_upper_all": True,
         "recip_bounds_all": True, "harmonic_gap": True}
+    # the text names points x, not pairs
+    assert cli.main(argv[:-2]) == 1
+    assert capsys.readouterr().out.startswith(
+        "pi_bounds_range: FAILED (9 failures, first at {'x': 1307}), 9990 checks, ")
 
 
 def test_verify_primes_finds_a_square_sum_failure_near_the_top(monkeypatch, capsys):
@@ -410,6 +414,11 @@ def test_verify_primes_finds_a_square_sum_failure_near_the_top(monkeypatch, caps
         (99_960, 99_961), (99_970, 99_971), (99_988, 99_991), (99_989, 99_991),
         (99_990, 99_991), (99_991, 99_991), (100_000, 100_000)]
     assert rep.escalations == 7
+    # the JSON lists those failures as BoundReport dicts, and no others
+    failures = {name: r["failures"] for name, r in sweeps.items()}
+    assert failures.pop("recip_sq_upper_all") == json.loads(json.dumps(
+        cli._jsonable([r.to_json_dict() for r in rep.failures])))
+    assert failures == {"pi_bounds_range": [], "recip_bounds_all": [], "harmonic_gap": []}
 
 
 def _count_evaluated_sub_blocks(monkeypatch):

@@ -325,13 +325,15 @@ def test_verify_primes_defaults_add_only_the_harmonic_gap(capsys):
     margins = [s.pop("min_margin") for s in blob["sweeps"]]
     assert blob["sweeps"] == [
         {"argmin": {"x": 12}, "checked": 999_990, "escalations": 0,
-         "holds": True, "name": "pi_bounds_range"},
+         "failures": [], "holds": True, "name": "pi_bounds_range"},
         {"argmin": {"a": 999_978, "b": 999_983}, "checked": 499_989_500_055,
-         "escalations": 0, "holds": True, "name": "recip_sq_upper_all"},
+         "escalations": 0, "failures": [], "holds": True,
+         "name": "recip_sq_upper_all"},
         {"argmin": {"a": 19, "b": 996_840}, "checked": 999_999_000_000,
-         "escalations": 0, "holds": True, "name": "recip_bounds_all"},
+         "escalations": 0, "failures": [], "holds": True,
+         "name": "recip_bounds_all"},
         {"argmin": {"n": 999_988}, "checked": 10**6, "escalations": 0,
-         "holds": True, "name": "harmonic_gap"},
+         "failures": [], "holds": True, "name": "harmonic_gap"},
     ]
     assert margins[:3] == pytest.approx(
         [0.17084474741786426, 4.4152938860619884e-08, 0.003935228423032067],
@@ -485,6 +487,21 @@ def test_csv_nested_cells_are_json(capsys):
     assert cells["exact_proportions"].startswith('{"n": 5, "value": "1/4"} ')
     for cell in row:
         assert "Fraction(" not in cell and "'" not in cell, cell
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["bounds", "--prime-sums", "5", "1000"],
+     "kind,a,b,recip_sq_upper,recip_lower,recip_upper"),
+    (["bounds", "--avoidance", "7/3"],
+     "kind,mu,mu_inverse,e_one_minus_mu,e_gamma_minus_mu,gamma_bound_dominates"),
+    (["density", "--n", "20", "--window", "1", "17"],
+     "kind,n,group,window,primes,value,hit,repeat"),
+])
+def test_csv_columns_follow_the_record_fields(argv, header, capsys):
+    # each payload spreads its record, whose field order is the column order
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == header
 
 
 def test_selftest_single_fast_criterion(capsys):
