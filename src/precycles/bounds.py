@@ -311,6 +311,9 @@ class PrimeSumBounds:
 
 def prime_sum_bounds(a: float, b: float) -> PrimeSumBounds:
     """The closed forms over (a, b] from their endpoint terms."""
+    for end, x in (("a", a), ("b", b)):
+        if not math.isfinite(x):
+            raise ValueError(f"{end} must be finite, got {x}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a}, b={b}")
     sq = _sq_upper(a, b, math.log, float) if a >= 12 else None

@@ -121,6 +121,8 @@ def cmd_density(ns) -> int:
         raise ValueError(
             "choose exactly one of --p, --window, --coprime, --cycles"
         )
+    if ns.group == "alt" and ns.window is None:
+        raise ValueError("--group alt applies only to --window")
     if ns.coprime is not None:
         m, p = ns.coprime
         value = exact.coprime_order_density(m, p)
@@ -197,9 +199,7 @@ def cmd_avoid(ns) -> int:
         ns,
         {"n": ns.n, "group": ns.group, "lengths": sorted(ns.lengths),
          "value": value, "mu": mu,
-         "bound_mu_inverse": ab.mu_inverse,
-         "bound_e_one_minus_mu": ab.e_one_minus_mu,
-         "bound_e_gamma_minus_mu": ab.e_gamma_minus_mu,
+         **{f"bound_{k}": v for k, v in ab._asdict().items()},
          "certified": certified},
         lines,
     )

@@ -11,16 +11,17 @@ A permutation holds its images as one read-only ``np.intp`` array of
 (about 36 bytes per point) is built only when ``images`` is read.
 Public construction converts the images once, and that array is both
 checked and kept; a uniform draw keeps the generator's array, and a
-witness is one scatter into a fresh one.  Cycle types, A_n parity and
-the witness's cycle come from whole-array numpy passes over the array:
-pointer doubling labels every point with the smallest point of its
-cycle, so no Python loop runs over all n points.  Each permutation
-labels its cycles at most once and caches only what that gives in a
-few ints: the cycle type and, for each cycle length, the smallest point
-of one cycle of that length (its leader), from which the witness walks.
-Sampling A_n rejects odd draws from their raw images, before any
-permutation is built, and the accepted draw's labelling fills the
-cache.  Cycle notation labels and ranks only the moved points.
+witness is one scatter into a fresh one.  Cycle types and A_n parity
+come from whole-array numpy passes: pointer doubling labels every point
+with the smallest point of its cycle.  Each permutation labels its
+cycles at most once and caches only what that gives in a few ints: the
+cycle type and, for each cycle length, the smallest point of one cycle
+of that length (its leader), from which the witness walks.  Sampling
+A_n rejects odd draws from their raw images, before any permutation is
+built, and the accepted draw's labelling fills the cache.  Cycle lists
+and cycle notation walk each cycle once in Python from its smallest
+point, taking start points in ascending order: every point for
+``cycles()``, only the moved points for the notation.
 
 Points are 1-based everywhere in the public API, matching the two text
 notations: disjoint cycles ``(1,2,3)(4,5)`` and one-line images
@@ -159,11 +160,7 @@ class Permutation:
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles (fixed points included), each starting at its
         smallest point, ordered by that point."""
-        cycles = _cycle_lists(self.array)
-        fixed = np.flatnonzero(self.array == np.arange(self.degree)) + 1
-        cycles += ([p] for p in fixed.tolist())
-        cycles.sort()  # two ascending runs, merged by one pass
-        return cycles
+        return _cycle_lists(self.array, range(self.degree))
 
     @cached_property
     def _labelling(self) -> tuple[CycleType, dict[int, int]]:
@@ -228,38 +225,26 @@ def _cycle_sizes(f: np.ndarray) -> np.ndarray:
     return np.bincount(_labels(f))
 
 
-def _cycle_lists(f: np.ndarray) -> list[list[int]]:
-    """The cycles of the 0-based images f that move points, as 1-based
-    lists, each from its smallest point, ordered by that point.
+def _cycle_lists(f: np.ndarray, starts: Sequence[int]) -> list[list[int]]:
+    """The cycles of the 0-based images f through the points starts, as
+    1-based lists, each from its smallest point, ordered by that point;
+    starts must ascend and hold every point of each cycle they meet.
 
-    Only the moved points are labelled and ranked, as the permutation h
-    that f induces on their ascending list, with each point renamed by
-    its rank there (which keeps their order, so the smallest point of
-    each cycle stays its smallest).  List ranking on
-    top of the labelling: cutting each cycle just before its smallest
-    point leaves a path, pointer doubling counts every point's steps to
-    the end of its path (as many rounds as the longest cycle needs), and
-    that count and the label place each point in the output with one
-    scatter.
+    Each start not yet seen opens its cycle, walked once and marked seen.
     """
-    moved = np.flatnonzero(f != np.arange(len(f)))
-    rank = np.empty(len(f), np.intp)
-    rank[moved] = np.arange(len(moved))
-    h = rank[f[moved]]
-    labels = _labels(h)
-    sizes = np.bincount(labels)
-    ends = np.cumsum(sizes)
-    points = np.arange(len(h))
-    succ = np.where(h == labels, points, h)  # path ends point to themselves
-    steps = (succ != points).astype(np.intp)
-    for _ in range((int(sizes.max(initial=1)) - 1).bit_length()):
-        steps += steps[succ]
-        succ = succ[succ]
-    order = np.empty(len(h), np.intp)
-    order[ends[labels] - 1 - steps] = points
-    flat = (moved[order] + 1).tolist()
-    kept = sizes > 0
-    return [flat[b - k:b] for k, b in zip(sizes[kept].tolist(), ends[kept].tolist())]
+    seen = bytearray(len(f))
+    item = f.item
+    out = []
+    for s in starts:
+        if not seen[s]:
+            cyc = []
+            j = s
+            while not seen[j]:
+                seen[j] = 1
+                cyc.append(j + 1)
+                j = item(j)
+            out.append(cyc)
+    return out
 
 
 def _summarise(n: int, sizes: np.ndarray) -> tuple[CycleType, dict[int, int]]:
@@ -387,7 +372,8 @@ def parse_one_line(text: str) -> Permutation:
 
 
 def format_cycles(g: Permutation) -> str:
-    parts = ["(" + ",".join(map(str, cyc)) + ")" for cyc in _cycle_lists(g.array)]
+    moved = np.flatnonzero(g.array != np.arange(g.degree)).tolist()
+    parts = ["(" + ",".join(map(str, c)) + ")" for c in _cycle_lists(g.array, moved)]
     return "".join(parts) if parts else "()"
 
 

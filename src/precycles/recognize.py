@@ -212,6 +212,9 @@ def run_recognizer(
     c = c0 if isinstance(c0, Fraction) else Fraction(c0)
     lo, hi = 2, n - 3
     if p_range is not None:
+        for end, x in zip(("lo", "hi"), p_range):
+            if not math.isfinite(x):
+                raise ValueError(f"p_range {end} must be finite, got {x}")
         lo = max(lo, math.ceil(p_range[0]))
         hi = min(hi, math.floor(p_range[1]))
     budget = sample_count(eps, c)

@@ -92,6 +92,14 @@ def test_prime_sum_bounds_values():
     assert psb3.recip_lower is not None
 
 
+@pytest.mark.parametrize("a, b, end", [
+    (12, math.inf, "b"), (math.nan, 20, "a"), (-math.inf, 20, "a"),
+    (12, math.nan, "b")])
+def test_prime_sum_bounds_refuse_non_finite_ends(a, b, end):
+    with pytest.raises(ValueError, match=f"^{end} must be finite"):
+        bounds.prime_sum_bounds(a, b)
+
+
 SQ_PAIRS = ((12, 12), (12, 100), (50, 9000), (500, 501))
 RECIP_PAIRS = ((2, 4), (2, 10_000), (12, 500), (100, 101))
 

@@ -150,6 +150,32 @@ def test_bounds_usage_error(capsys):
     assert "choose exactly one" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--prime-sums", "12", "inf"], "b must be finite, got inf"),
+    (["bounds", "--prime-sums", "nan", "20", "--format", "json"],
+     "a must be finite, got nan"),
+    (["recognize", "--n", "50", "--p-range", "0", "inf"],
+     "p_range hi must be finite, got inf"),
+], ids=["prime-sums-inf", "prime-sums-nan-json", "recognize-p-range-inf"])
+def test_non_finite_ends_are_usage_errors(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("mode", [
+    ["--p", "3"], ["--cycles"], ["--coprime", "6", "5"]],
+    ids=["p", "cycles", "coprime"])
+def test_density_alt_group_needs_a_window(mode, capsys):
+    code, out, err = run(
+        ["density", "--n", "7", *mode, "--group", "alt", "--format", "json"],
+        capsys)
+    assert code == 2
+    assert out == ""
+    assert "--group alt applies only to --window" in err
+
+
 def test_estimate_deterministic(capsys):
     argv = ["estimate", "--n", "6", "--event", "avoids", "--lengths", "1",
             "--trials", "2000", "--seed", "9", "--format", "json"]
@@ -496,6 +522,9 @@ def test_csv_nested_cells_are_json(capsys):
      "kind,mu,mu_inverse,e_one_minus_mu,e_gamma_minus_mu,gamma_bound_dominates"),
     (["density", "--n", "20", "--window", "1", "17"],
      "kind,n,group,window,primes,value,hit,repeat"),
+    (["avoid", "--n", "20", "--lengths", "2,3"],
+     "n,group,lengths,value,mu,bound_mu_inverse,bound_e_one_minus_mu,"
+     "bound_e_gamma_minus_mu,certified"),
 ])
 def test_csv_columns_follow_the_record_fields(argv, header, capsys):
     # each payload spreads its record, whose field order is the column order

@@ -433,6 +433,37 @@ def test_labelling_edge_cases(g):
     _check_labelling(g)
 
 
+def _all_transpositions(n: int) -> perm.Permutation:
+    """(1,2)(3,4)...(n-1,n) for even n."""
+    return perm.Permutation(tuple(((np.arange(n) ^ 1) + 1).tolist()))
+
+
+def _near_identity_witness(n: int) -> perm.Permutation:
+    """The witness for the longest target of the first seeded uniform
+    draw of degree n that has one: a single cycle, every other point
+    fixed."""
+    for seed in itertools.count():
+        g = perm.sample_uniform(n, "any", seed)
+        targets = perm.pre_cycle_targets(perm.cycle_type(g))
+        if targets:
+            return perm.extract_cycle_power(g, max(targets))[1]
+
+
+@pytest.mark.parametrize("build, n", [
+    (_all_transpositions, 2),
+    (_all_transpositions, 10**4),
+    (_near_identity_witness, 10**5),
+    (lambda n: perm.parse_cycles("()", n), 0),
+    (lambda n: perm.parse_cycles("()", n), 1),
+], ids=["transpositions-2", "transpositions-10000", "witness-100000",
+        "degree-0", "degree-1"])
+def test_cycle_lists_match_the_walk(build, n):
+    g = build(n)
+    assert g.degree == n
+    assert g.cycles() == _walk_cycles(g.images)
+    assert perm.format_cycles(g) == _walk_format(g.images)
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=300),
        st.sampled_from(["any", "even"]),

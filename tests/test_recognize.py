@@ -78,6 +78,15 @@ def test_p_range_restricts_target():
     assert out2.status == "not_found"
 
 
+@pytest.mark.parametrize("p_range, end", [
+    ((0, math.inf), "hi"), ((math.nan, 20), "lo"), ((-math.inf, 20), "lo"),
+    ((7, math.nan), "hi")])
+def test_p_range_refuses_non_finite_ends(p_range, end):
+    src = recognize.UniformSource(50, "any", 0)
+    with pytest.raises(ValueError, match=f"^p_range {end} must be finite"):
+        recognize.run_recognizer(src, Fraction(1, 100), p_range=p_range)
+
+
 def test_alt_source():
     src = recognize.UniformSource(21, "even", 5)
     out = recognize.run_recognizer(src, Fraction(1, 100))
