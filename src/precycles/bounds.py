@@ -43,8 +43,9 @@ from __future__ import annotations
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -54,6 +55,7 @@ from .primes import (
     FIXED_UNIT,
     PrimeTable,
     RecipSumWalk,
+    _coprime_recip_sum,
     fraction_str,
     sum_recip,
     sum_recip_exact,
@@ -243,27 +245,41 @@ class SweepReport:
         return {**asdict(self), "holds": self.holds}
 
 
+def _finite_float(name: str, x) -> float:
+    """float(x), or a ValueError naming x where that is not finite."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"{name} must be a finite float, got {x}")
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Avoidance bounds.
 
 
 class AvoidanceBounds(NamedTuple):
     """The three upper bounds for an avoidance proportion with
-    reciprocal weight mu."""
+    reciprocal weight mu; ``mu_inverse`` is None where 1/mu is not a
+    finite float."""
 
-    mu_inverse: float
+    mu_inverse: float | None
     e_one_minus_mu: float
     e_gamma_minus_mu: float
 
 
 def avoidance_bounds(mu) -> AvoidanceBounds:
-    """Evaluate 1/mu, e**(1-mu), and e**(gamma-mu) at mu >= 0."""
-    m = float(mu)
-    if m < 0:
+    """Evaluate 1/mu, e**(1-mu), and e**(gamma-mu) at mu >= 0, for mu a
+    finite float."""
+    m = _finite_float("mu", mu)
+    if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    inv = math.inf if m == 0 else 1.0 / m
+    inv = 1.0 / m if m else math.inf
     gamma = float(EULER_MASCHERONI)
-    return AvoidanceBounds(inv, math.exp(1.0 - m), math.exp(gamma - m))
+    return AvoidanceBounds(inv if math.isfinite(inv) else None,
+                           math.exp(1.0 - m), math.exp(gamma - m))
 
 
 def certify_avoidance_bound(q: Fraction, mu, factor: int = 1) -> bool:
@@ -279,7 +295,10 @@ def certify_avoidance_bound(q: Fraction, mu, factor: int = 1) -> bool:
 
 def verify_gamma_dominance(mu) -> bool:
     """Certify e**(gamma-mu) < e**(1-mu), and < 2/(3 mu) when mu >= 1, in
-    one interval comparison against the lesser bound; undecided fails."""
+    one interval comparison against the lesser bound; undecided fails.
+    mu must be a finite float."""
+    _finite_float("mu", mu)
+
     def sides():
         iv, m = _iv(), _enclose(mu)
         caps = [iv.exp(1 - m)] + ([2 / (3 * m)] if mu >= 1 else [])
@@ -919,34 +938,37 @@ def verify_battery(table: PrimeTable) -> list[SweepReport]:
 
 @dataclass(frozen=True)
 class FloorRecord:
-    """One degree whose density floor fell below the threshold."""
+    """One degree whose density floor fell below the threshold, with the
+    integer bracket that decided it: the sum over its count primes lies
+    in [lo, hi] = [S, S + count] * 2**-60, S their fixed-point sum."""
 
     n: int
     value: float
-    exact: Fraction
+    lo: Fraction
+    hi: Fraction
+    # the primes n/2 < p <= n - 3, a view of the table's read-only array
+    primes: np.ndarray = field(repr=False, compare=False)
 
-    def __repr__(self) -> str:
-        # The dataclass repr, with exact written by decimal_str: near
-        # n = 10**6 its numerator and denominator pass the interpreter's
-        # cap on int-to-str digits.
-        num, den = fraction_str(self.exact).split("/")
-        return (f"{type(self).__qualname__}(n={self.n!r}, value={self.value!r}, "
-                f"exact=Fraction({num}, {den}))")
+    @cached_property
+    def exact(self) -> Fraction:
+        """The exact sum, by one gcd-free product tree on first read: only
+        perfbench's certify check reads it, until it reads the bracket."""
+        return _coprime_recip_sum(self.primes.tolist())
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "value": self.value,
-            "exact": fraction_str(self.exact),
-        }
+        return {"n": self.n, "value": self.value,
+                "lo": fraction_str(self.lo), "hi": fraction_str(self.hi)}
 
 
 @dataclass(frozen=True)
 class FloorSweep:
     """Result of sweeping the large-prime density floor over [5, n_max].
 
-    ``exceptions`` lists the first FLOOR_EXACT_EXCEPTIONS failing degrees
-    only; ``below_count`` and ``holds_from_11`` cover all of them.
+    ``exceptions`` lists the first FLOOR_EXCEPTIONS failing degrees
+    only, each by its integer bracket; ``below_count`` and
+    ``holds_from_11`` cover all of them.  ``escalations`` counts the
+    undecided degrees, whose bracket straddles the threshold and which
+    an exact sum decides.
     """
 
     n_max: int
@@ -959,10 +981,9 @@ class FloorSweep:
     escalations: int = 0
 
 
-# Near n = 10**6 the first exact sum of a sweep costs about 0.2 s (a
-# fresh gcd-free product tree); the others, carried from it, about a
-# millisecond each.  Ten covers the nine degrees below 1/19 up to 720000.
-FLOOR_EXACT_EXCEPTIONS = 10
+# The sweep reports the first FLOOR_EXCEPTIONS failing degrees.  Ten
+# covers the nine degrees below 1/19 up to 720000.
+FLOOR_EXCEPTIONS = 10
 
 # The floor sweep decides _FLOOR_BLOCK degrees at a time, lowest first,
 # so its temporaries stay a few MB whatever n_max.
@@ -981,14 +1002,13 @@ def density_floor_sweep(
     is exactly 1/p, so this sum is a certified floor for the
     pre-p-cycle proportion.  Each degree is decided in integers: with S
     the fixed-point sum over its count primes and T = 2**60 * threshold,
-    S + count < T certifies a failure and S >= T a pass; only degrees in
-    between get an exact rational sum, as do the reported exceptions.
-    The degrees are decided in ascending blocks of _FLOOR_BLOCK, which
-    carry the counts, the exceptions and the minimum, and the exact sums
-    are carried from degree to degree in one ascending
-    :class:`~precycles.primes.RecipSumWalk`, so a sweep pays for one
-    fresh sum and a few primes per later degree.  ``escalations``
-    counts the degrees summed exactly.
+    S + count < T certifies a failure and S >= T a pass.  Only the
+    undecided degrees in between get an exact rational sum, each
+    carried from the one before in one ascending
+    :class:`~precycles.primes.RecipSumWalk`; ``escalations`` counts
+    them.  The degrees are decided in ascending blocks of _FLOOR_BLOCK,
+    which carry the counts, the exceptions and the minimum, and each
+    exception is reported by the bracket [S, S + count] * 2**-60.
     """
     if n_max < 5:
         raise ValueError(f"need n_max >= 5, got {n_max}")
@@ -1011,24 +1031,14 @@ def density_floor_sweep(
         lo_idx = table.pi_run(a // 2, (b - 1) // 2 + 1).repeat(2)[a % 2 :][: b - a]
         sums = table.s1_prefix[hi_idx] - table.s1_prefix[lo_idx]
         below = sums + (hi_idx - lo_idx) < target
-        undecided = ~below & (sums < target)
-        # Exact sums, in ascending order: each undecided degree, and the
-        # failures while fewer than FLOOR_EXACT_EXCEPTIONS are reported,
-        # which lie among the undecided and the block's first that many
-        # certified.
-        exact_at = np.union1d(
-            np.flatnonzero(undecided),
-            np.flatnonzero(below)[: FLOOR_EXACT_EXCEPTIONS - len(exceptions)])
-        for i in exact_at.tolist():
-            if not undecided[i] and len(exceptions) == FLOOR_EXACT_EXCEPTIONS:
-                continue
+        for i in np.flatnonzero(~below & (sums < target)).tolist():
             n = a + i
-            exact = floor_sum(n // 2, n - 3)
+            below[i] = floor_sum(n // 2, n - 3) < t
             escalations += 1
-            if undecided[i]:
-                below[i] = exact < t
-            if below[i] and len(exceptions) < FLOOR_EXACT_EXCEPTIONS:
-                exceptions.append(FloorRecord(n, float(sums[i]) * FIXED_UNIT, exact))
+        for i in np.flatnonzero(below)[: FLOOR_EXCEPTIONS - len(exceptions)].tolist():
+            s, k, m = int(sums[i]), int(lo_idx[i]), int(hi_idx[i])
+            lo, hi = (Fraction(x, 1 << FIXED_BITS) for x in (s, s + m - k))
+            exceptions.append(FloorRecord(a + i, s * FIXED_UNIT, lo, hi, table.primes[k:m]))
         below_count += int(np.count_nonzero(below))
         holds_from_11 = holds_from_11 and not below[max(11 - a, 0) :].any()
         if b > min_from:
@@ -1056,7 +1066,8 @@ def window_density_lower_bound(n: int, a: float, d: float, delta: int) -> float:
     """Lower bound for the pre-p-cycle proportion over primes in
     (a, a**d], for S_n (delta=1) or A_n (delta=2).
 
-    Requires a >= 12, d > 1, and a**d <= n.  The value is
+    Requires n, a and d finite as floats, a >= 12, d > 1, and
+    a**d <= n.  The value is
     1 - 2.287 delta / d
       - 2.22 (log n - 1) / (floor(a) log floor(a))
       - 4.4 delta log n / (a log(a) n)
@@ -1064,6 +1075,7 @@ def window_density_lower_bound(n: int, a: float, d: float, delta: int) -> float:
     """
     if delta not in (1, 2):
         raise ValueError(f"delta must be 1 or 2, got {delta}")
+    fn, a, d = (_finite_float(k, x) for k, x in (("n", n), ("a", a), ("d", d)))
     if a < 12:
         raise ValueError(f"need a >= 12, got a={a}")
     if d <= 1:
@@ -1076,7 +1088,7 @@ def window_density_lower_bound(n: int, a: float, d: float, delta: int) -> float:
         1.0
         - 2.287 * delta / d
         - 2.22 * (logn - 1.0) / (fa * math.log(fa))
-        - 4.4 * delta * logn / (a * math.log(a) * n)
+        - 4.4 * delta * logn / (a * math.log(a) * fn)
     )
 
 

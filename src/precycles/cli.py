@@ -68,7 +68,7 @@ def emit(ns, payload: dict, text_lines: list[str]) -> None:
     """Write the result in the requested format."""
     fmt = getattr(ns, "format", "text")
     if fmt == "json":
-        out = json.dumps(_jsonable(payload), sort_keys=True) + "\n"
+        out = json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False) + "\n"
     elif fmt == "csv":
         flat = _flatten(payload)
         buf = io.StringIO()
@@ -124,6 +124,8 @@ def cmd_density(ns) -> int:
     if ns.group == "alt" and ns.window is None:
         raise ValueError("--group alt applies only to --window")
     if ns.coprime is not None:
+        if ns.n is not None:
+            raise ValueError("--n applies only to --p, --window, --cycles")
         m, p = ns.coprime
         value = exact.coprime_order_density(m, p)
         emit(
@@ -176,6 +178,12 @@ def cmd_density(ns) -> int:
 # ------------------------------------------------------------------ avoid
 
 
+def _inverse_str(ab) -> str:
+    """1/mu of avoidance bounds ``ab`` for a text line: inf where it is
+    not a finite float."""
+    return "inf" if ab.mu_inverse is None else f"{ab.mu_inverse:.6g}"
+
+
 def cmd_avoid(ns) -> int:
     from . import bounds as bounds_mod
     from . import exact
@@ -191,7 +199,7 @@ def cmd_avoid(ns) -> int:
         f"avoidance proportion in {group_name}_{ns.n} of lengths "
         f"{sorted(ns.lengths)} = {_qstr(value)} ~ {float(value):.6g}",
         f"mu = {_qstr(mu)} ~ {float(mu):.6g}",
-        f"bounds: 1/mu = {ab.mu_inverse:.6g}, e^(1-mu) = "
+        f"bounds: 1/mu = {_inverse_str(ab)}, e^(1-mu) = "
         f"{ab.e_one_minus_mu:.6g}, e^(gamma-mu) = {ab.e_gamma_minus_mu:.6g}",
         f"certified <= {factor} * e^(gamma-mu): {certified}",
     ]
@@ -253,12 +261,11 @@ def cmd_verify_r2(ns) -> int:
         f"min value {sweep.min_value:.6f} at n = {sweep.argmin_n}, "
         f"{sweep.below_count} below, {sweep.escalations} escalations",
     ]
-    # Written out once: near n = 10**6 each exact sum has a 518,000-bit
-    # numerator and denominator, about 0.05 s per decimal conversion.
     exceptions = [r.to_json_dict() for r in sweep.exceptions]
     for rec in exceptions:
         lines.append(
-            f"  below threshold: n = {rec['n']}, sum = {rec['exact']}"
+            f"  below threshold: n = {rec['n']}, sum in "
+            f"[{rec['lo']}, {rec['hi']}] ~ {rec['value']:.9f}"
         )
     lines.append(
         f"holds for all 11 <= n <= {ns.max}: {sweep.holds_from_11}"
@@ -313,6 +320,8 @@ def cmd_bounds(ns) -> int:
             "choose exactly one of --sample-count, --window-bound, "
             "--headline, --avoidance, --prime-sums"
         )
+    if ns.variant is not None and ns.headline is None:
+        raise ValueError("--variant applies only to --headline")
     if ns.sample_count is not None:
         eps, c0 = ns.sample_count
         m = bounds_mod.sample_count(eps, c0)
@@ -327,8 +336,9 @@ def cmd_bounds(ns) -> int:
         n, a, d, delta = ns.window_bound
         if n.denominator != 1 or delta.denominator != 1:
             raise ValueError("--window-bound N and DELTA must be integers")
-        n, a, d, delta = int(n), float(a), float(d), int(delta)
+        n, delta = int(n), int(delta)
         value = bounds_mod.window_density_lower_bound(n, a, d, delta)
+        a, d = float(a), float(d)
         emit(
             ns,
             {"kind": "window-bound", "n": n, "a": a, "d": d, "delta": delta,
@@ -339,9 +349,10 @@ def cmd_bounds(ns) -> int:
         return 0
     if ns.headline is not None:
         n, delta = int(ns.headline[0]), int(ns.headline[1])
-        hb = bounds_mod.headline_bounds(n, delta, ns.variant)
+        variant = ns.variant or "stated"
+        hb = bounds_mod.headline_bounds(n, delta, variant)
         lines = [
-            f"headline bounds at n = {n}, delta = {delta} ({ns.variant}): "
+            f"headline bounds at n = {n}, delta = {delta} ({variant}): "
             f"simple = {hb.simple:.6f}, refined = {hb.refined:.6f}",
             f"guaranteed to hold from n >= "
             f"{bounds_mod.ASSERTED_FROM}: {hb.asserted}",
@@ -349,21 +360,21 @@ def cmd_bounds(ns) -> int:
         emit(
             ns,
             {"kind": "headline", "n": n, "delta": delta,
-             "variant": ns.variant, "c": hb.c, "simple": hb.simple,
+             "variant": variant, "c": hb.c, "simple": hb.simple,
              "refined": hb.refined, "asserted": hb.asserted},
             lines,
         )
         return 0
     if ns.avoidance is not None:
         mu = ns.avoidance
-        ab = bounds_mod.avoidance_bounds(float(mu))
-        dom = bounds_mod.verify_gamma_dominance(float(mu))
+        ab = bounds_mod.avoidance_bounds(mu)
+        dom = bounds_mod.verify_gamma_dominance(mu)
         emit(
             ns,
             {"kind": "avoidance", "mu": mu, **ab._asdict(),
              "gamma_bound_dominates": dom},
             [f"avoidance bounds at mu = {fraction_str(mu)}: "
-             f"1/mu = {ab.mu_inverse:.6g}, "
+             f"1/mu = {_inverse_str(ab)}, "
              f"e^(1-mu) = {ab.e_one_minus_mu:.6g}, "
              f"e^(gamma-mu) = {ab.e_gamma_minus_mu:.6g}",
              f"e^(gamma-mu) dominated as required: {dom}"],
@@ -397,6 +408,8 @@ def _build_event(ns):
     from . import exact, montecarlo
 
     if ns.event in ("window", "in-t", "in-u"):
+        if ns.lengths is not None:
+            raise ValueError("--lengths applies only to --event avoids")
         if ns.window is None:
             raise ValueError(f"--window is required for event {ns.event}")
         window = exact.prime_window(ns.window[0], ns.window[1])
@@ -406,6 +419,8 @@ def _build_event(ns):
             "in-u": montecarlo.InU,
         }[ns.event]
         return cls(window)
+    if ns.window is not None:
+        raise ValueError("--window applies only to --event window, in-t, in-u")
     if ns.lengths is None:
         raise ValueError("--lengths is required for event avoids")
     return montecarlo.Avoids(ns.lengths)
@@ -425,7 +440,7 @@ def cmd_estimate(ns) -> int:
         group=ns.group,
         trials=ns.trials,
         seed=ns.seed,
-        level=float(ns.level),
+        level=ns.level,
     )
     payload = {"n": ns.n, "group": ns.group, "event": ns.event,
                **est.to_json_dict()}
@@ -453,10 +468,14 @@ def _build_source(ns) -> ElementSource:
     from . import recognize
 
     if ns.source in ("sym", "alt"):
+        if ns.file is not None:
+            raise ValueError("--file applies only to --source list, replay")
         if ns.n is None:
             raise ValueError("--n is required for uniform sources")
         parity = "even" if ns.source == "alt" else "any"
         return recognize.UniformSource(ns.n, parity, ns.seed)
+    if ns.n is not None:
+        raise ValueError("--n applies only to --source sym, alt")
     if ns.file is None:
         raise ValueError(f"--file is required for source {ns.source}")
     if ns.source == "list":
@@ -568,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("N", "A", "D", "DELTA"), default=None)
     p.add_argument("--headline", type=int, nargs=2,
                    metavar=("N", "DELTA"), default=None)
-    p.add_argument("--variant", choices=("stated", "proof"),
-                   default="stated")
+    p.add_argument("--variant", choices=("stated", "proof"), default=None)
     p.add_argument("--avoidance", type=rational, metavar="MU", default=None)
     p.add_argument("--prime-sums", type=float, nargs=2, metavar=("A", "B"),
                    default=None)

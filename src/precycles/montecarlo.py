@@ -242,7 +242,8 @@ def estimate_event(
 
     The result is a deterministic function of (n, event, group, trials,
     seed, block_size).  Degrees above ``MAX_DEGREE`` (2**63 - 2), which
-    the int64 sampler cannot hold, raise ValueError before any sampling.
+    the int64 sampler cannot hold, raise ValueError before any sampling,
+    as does a ``level`` (of any real type) outside (0, 1).
     """
     exact._check_group(group, n)
     if not 1 <= n <= MAX_DEGREE:
@@ -251,6 +252,9 @@ def estimate_event(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    level = float(level)
     # an invalid event is refused before any sampling
     event.accepts(n, _NO_CYCLES, _NO_CYCLES, 0)
     successes = sum(

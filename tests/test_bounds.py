@@ -31,8 +31,20 @@ def test_avoidance_bounds_values():
     assert ab.e_one_minus_mu == 1.0
     assert abs(ab.e_gamma_minus_mu - 0.65521992581610357) < 1e-12
     ab0 = bounds.avoidance_bounds(0.0)
-    assert ab0.mu_inverse == math.inf
+    assert ab0.mu_inverse is None  # 1/0 is no finite float
     assert abs(ab0.e_one_minus_mu - math.e) < 1e-12
+
+
+def test_avoidance_bounds_need_a_finite_mu():
+    huge = Fraction(10**400)
+    for check in (bounds.avoidance_bounds, bounds.verify_gamma_dominance):
+        with pytest.raises(ValueError, match="mu must be a finite float"):
+            check(huge)
+    # mu below the least float: its 1/mu is no finite float either
+    assert bounds.avoidance_bounds(Fraction(1, 10**400)).mu_inverse is None
+    assert bounds.avoidance_bounds(5e-324).mu_inverse is None
+    with pytest.raises(ValueError, match="mu must be >= 0"):
+        bounds.avoidance_bounds(Fraction(-1, 10**400))
 
 
 def test_certify_avoidance_bound():
@@ -646,8 +658,8 @@ def test_floor_sweep_small(table_small):
     assert {rec.n for rec in sweep.exceptions} == {5, 6, 7}
     for rec in sweep.exceptions:
         assert rec.exact == 0  # those windows hold no primes at all
-    # one exact sum per reported exception: 5, 6 and 7
-    assert sweep.escalations == 3
+    # every degree is decided by its integer bracket
+    assert sweep.escalations == 0
     assert sweep.below_count == 3
     sweep2 = bounds.density_floor_sweep(table_small, 10_000)
     assert sweep2.holds_from_11
@@ -665,47 +677,81 @@ def test_floor_sweep_ties_and_cap(table_small):
     sweep = bounds.density_floor_sweep(table_small, 12, Fraction(1, 7))
     assert [rec.n for rec in sweep.exceptions] == [5, 6, 7]
     assert sweep.holds_from_11
-    assert sweep.escalations == 6
-    # every degree fails a threshold of 1; only the first few get
-    # exact sums, while the count and the verdict cover all of them
+    assert sweep.escalations == 3  # the ties at 10, 11 and 12
+    # every degree fails a threshold of 1; only the first few are
+    # reported, while the count and the verdict cover all of them
     sweep = bounds.density_floor_sweep(table_small, 10_000, Fraction(1))
-    cap = bounds.FLOOR_EXACT_EXCEPTIONS
+    cap = bounds.FLOOR_EXCEPTIONS
     assert [rec.n for rec in sweep.exceptions] == list(range(5, 5 + cap))
     assert sweep.below_count == 10_000 - 4
     assert not sweep.holds_from_11
-    assert sweep.escalations == cap
+    assert sweep.escalations == 0
     for rec in sweep.exceptions:
         assert rec.exact == primes.sum_recip_exact(table_small, rec.n // 2, rec.n - 3)
 
 
-def test_floor_sweep_carries_exact_sums(table_large, monkeypatch):
-    # the six reported degrees past 719534 share one product tree: the
-    # first is summed afresh, the rest are carried from it
-    real = primes._coprime_recip_sum
-    trees = []
+def test_floor_sweep_reports_exceptions_without_exact_sums(table_large, monkeypatch):
+    # up to 720000 no degree is undecided, so no exact sum is made: the
+    # nine exceptions come from the integers that decided them
+    class Refuse:
+        def __init__(self, table):
+            pass
 
-    def counting(vals):
-        if len(vals) > 1000:
-            trees.append(len(vals))
-        return real(vals)
+        def __call__(self, a, b):
+            raise AssertionError(f"an exact floor sum over ({a}, {b}] was made")
 
-    monkeypatch.setattr(primes, "_coprime_recip_sum", counting)
+    monkeypatch.setattr(bounds, "RecipSumWalk", Refuse)
     sweep = bounds.density_floor_sweep(table_large, 720_000)
     assert [rec.n for rec in sweep.exceptions] == \
         [5, 6, 7, 719534, 719535, 719566, 719567, 719568, 719569]
-    assert sweep.escalations == 9
-    assert len(trees) <= 1
-    last = sweep.exceptions[-1].exact
-    fresh = primes.sum_recip_exact(table_large, 719569 // 2, 719569 - 3)
-    assert (last.numerator, last.denominator) == \
-        (fresh.numerator, fresh.denominator)
+    assert sweep.escalations == 0
+
+
+def test_floor_exception_brackets_hold_their_exact_sums(table_large):
+    # at 720000 and 10**6: the nine exceptions to 720000 come first in
+    # both sweeps, and the tenth at 10**6 is 730514
+    t = Fraction(1, 19)
+    sweeps = [bounds.density_floor_sweep(table_large, n_max, t) for n_max in (720_000, 10**6)]
+    assert [len(s.exceptions) for s in sweeps] == [9, 10]
+    assert [s.escalations for s in sweeps] == [0, 0]
+    assert sweeps[0].exceptions == sweeps[1].exceptions[:9]
+    assert sweeps[1].exceptions[9].n == 730_514
+    sums = {}  # one exact sum per interval of primes: 719534 and 719535 share one
+    for rec in sweeps[1].exceptions:
+        a, b = rec.n // 2, rec.n - 3
+        key = (table_large.pi(a), table_large.pi(b))
+        if key not in sums:
+            sums[key] = primes.sum_recip_exact(table_large, a, b)
+        exact_sum = sums[key]
+        assert rec.lo <= exact_sum <= rec.hi, rec.n
+        # decided by the bracket alone, not by an exact sum
+        assert rec.hi < t, rec.n
+        assert float(rec.lo) == rec.value
+    assert (rec.exact.numerator, rec.exact.denominator) == \
+        (exact_sum.numerator, exact_sum.denominator)
+
+
+def test_floor_record_is_its_bracket(table_small):
+    # the primes view stays out of the repr and of comparisons
+    sweep = bounds.density_floor_sweep(table_small, 10, Fraction(1))
+    rec = sweep.exceptions[-1]
+    assert rec.n == 10 and list(rec.primes) == [7]
+    assert repr(rec) == ("FloorRecord(n=10, value=0.14285714285714285, "
+                         f"lo={rec.lo!r}, hi={rec.hi!r})")
+    assert rec.lo == Fraction((1 << 60) // 7, 1 << 60) and rec.hi == rec.lo + Fraction(1, 1 << 60)
+    assert not rec.primes.flags.writeable
+    assert rec == bounds.FloorRecord(10, rec.value, rec.lo, rec.hi, np.array([]))
 
 
 def test_floor_record_json(table_small):
     sweep = bounds.density_floor_sweep(table_small, 10)
-    d = sweep.exceptions[0].to_json_dict()
-    assert d["n"] == 5
-    assert d["exact"] == "0/1"
+    assert sweep.exceptions[0].to_json_dict() == \
+        {"n": 5, "value": 0.0, "lo": "0/1", "hi": "0/1"}
+    sweep = bounds.density_floor_sweep(table_small, 10, Fraction(1))
+    unit = 1 << 60
+    assert sweep.exceptions[-1].to_json_dict() == {
+        "n": 10, "value": sweep.exceptions[-1].value,
+        "lo": f"{unit // 7}/{unit}", "hi": f"{(unit // 7 + 1) // 2}/{unit // 2}"}
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -730,21 +776,6 @@ def test_floor_blocks_match_at_the_benchmark_degree(block, table_large, monkeypa
     assert whole.argmin_n == 719534 and len(whole.exceptions) == 9
     monkeypatch.setattr(bounds, "_FLOOR_BLOCK", block)
     assert bounds.density_floor_sweep(table_large, 719_800) == whole
-
-
-def test_floor_record_repr_writes_big_exact_sums():
-    # near 10**6 an exact sum has 518,000-bit terms, past the default
-    # cap on int-to-str digits; the repr keeps the dataclass layout
-    sweep = bounds.density_floor_sweep(primes.build_sieve(720_000), 719_800)
-    rec = sweep.exceptions[3]
-    assert rec.n == 719_534 and rec.exact.denominator.bit_length() > 500_000
-    text = repr(sweep)
-    head = f"FloorRecord(n=719534, value={rec.value!r}, exact=Fraction("
-    assert head in text
-    num, den = primes.fraction_str(rec.exact).split("/")
-    assert repr(rec) == head + f"{num}, {den}))"
-    small = bounds.FloorRecord(5, 0.25, Fraction(1, 4))
-    assert repr(small) == "FloorRecord(n=5, value=0.25, exact=Fraction(1, 4))"
 
 
 def test_floor_sweep_memory_does_not_grow_with_the_table():
@@ -780,6 +811,16 @@ def test_window_density_lower_bound_preconditions():
         bounds.window_density_lower_bound(10 ** 4, 100, 3.0, 1)
     with pytest.raises(ValueError):
         bounds.window_density_lower_bound(10 ** 6, 20, 2.0, 3)
+
+
+@pytest.mark.parametrize("n, a, d, name", [
+    (10**400, 20, 2, "n"),
+    (100, Fraction(10**400), 2, "a"),
+    (100, 20, Fraction(10**400), "d"),
+], ids=["n", "a", "d"])
+def test_window_density_lower_bound_needs_finite_floats(n, a, d, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite float"):
+        bounds.window_density_lower_bound(n, a, d, 1)
 
 
 def test_headline_bounds():

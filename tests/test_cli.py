@@ -407,21 +407,75 @@ def test_verify_r2_million_is_decided_without_runaway():
     assert blob["holds_from_11"] is False
     assert blob["below_count"] == 268_682
     ns = [e["n"] for e in blob["exceptions"]]
-    assert len(ns) <= bounds.FLOOR_EXACT_EXCEPTIONS
+    assert len(ns) <= bounds.FLOOR_EXCEPTIONS
     assert ns[:3] == [5, 6, 7]
     assert ns[3] == 719_534
 
 
 def test_verify_r2_leaves_the_int_str_cap_alone(capsys):
-    # exact sums near 10**6 pass the interpreter's default cap on
-    # int-to-str digits; they are written without lifting it, and the
-    # JSON is pinned by its sha256
+    # the sweep runs without lifting the interpreter's cap on int-to-str
+    # digits, and its JSON, each exception written as its integer
+    # bracket, is pinned by its sha256
     before = getattr(sys, "get_int_max_str_digits", lambda: None)()
     code, out, _ = run(["verify-r2", "--max", "720000", "--format", "json"], capsys)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
     assert code == 1
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "42faedcd3f850f7e4c32c820adca1369f62e382f454ba645ee55f331185164bc"
+        "1815f9e0c80d0da57628bc36925870febb40cf9c100a89f1605a15b79be1b3d3"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["bounds", "--window-bound", "100", "1e400", "2", "1"], "a"),
+    (["bounds", "--window-bound", "1e400", "20", "2", "1"], "n"),
+    (["bounds", "--avoidance", "1e400"], "mu"),
+    (["estimate", "--n", "30", "--event", "avoids", "--lengths", "3",
+      "--trials", "100", "--level", "1e400"], "level"),
+])
+def test_values_past_the_floats_are_usage_errors(argv, name, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be ") and "1000000000" in err
+
+
+def _no_constants(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("mu", ["0", "1e-400"])
+def test_avoidance_json_is_strict(mu, capsys):
+    # 1/mu is no finite float here: null in the JSON, inf in the text
+    code, out, _ = run(["bounds", "--avoidance", mu, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=_no_constants)["mu_inverse"] is None
+    code, out, _ = run(["bounds", "--avoidance", mu], capsys)
+    assert code == 0 and "1/mu = inf," in out
+
+
+@pytest.mark.parametrize("argv, option, mode", [
+    (["bounds", "--sample-count", "1/100", "1/19", "--variant", "proof"],
+     "--variant", "--headline"),
+    (["estimate", "--n", "30", "--event", "window", "--window", "1", "7",
+      "--lengths", "2"], "--lengths", "--event avoids"),
+    (["estimate", "--n", "30", "--event", "avoids", "--lengths", "3",
+      "--window", "1", "7"], "--window", "--event window, in-t, in-u"),
+    (["density", "--coprime", "5", "3", "--n", "7"], "--n", "--p, --window, --cycles"),
+    (["recognize", "--source", "sym", "--n", "20", "--file", "X"],
+     "--file", "--source list, replay"),
+    (["recognize", "--source", "list", "--file", "F", "--n", "5"],
+     "--n", "--source sym, alt"),
+])
+def test_options_the_mode_ignores_are_usage_errors(argv, option, mode, tmp_path, capsys):
+    path = tmp_path / "draws.txt"
+    recognize.save_element_list([perm.sample_uniform(8, "any", np.random.default_rng(0))], path)
+    argv = [str(path) if a in ("X", "F") else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {option} applies only to {mode}\n"
+
+
+def test_headline_variant_defaults_to_stated(capsys):
+    code, out, _ = run(["bounds", "--headline", "1000", "1", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["variant"] == "stated"
 
 
 def test_sieve_cap_is_a_usage_error(capsys):

@@ -217,3 +217,18 @@ def test_estimate_validation():
     with pytest.raises(ValueError):
         montecarlo.estimate_event(
             5, montecarlo.PreCycleInWindow(w), trials=10, level=1.5)
+
+
+def test_level_is_checked_before_conversion(monkeypatch):
+    # a level past the floats is refused as a ValueError, before sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(montecarlo, "_block_successes", no_sampling)
+    for level in (Fraction(10**400), Fraction(-(10**400)), Fraction(0)):
+        with pytest.raises(ValueError, match="level must be in"):
+            montecarlo.estimate_event(30, montecarlo.Avoids({3}), trials=100, level=level)
+    monkeypatch.undo()
+    est = montecarlo.estimate_event(30, montecarlo.Avoids({3}), trials=100,
+                                    level=Fraction(99, 100))
+    assert est.level == 0.99 and isinstance(est.level, float)
